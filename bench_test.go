@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"cpsinw/internal/atpg"
 	"cpsinw/internal/bench"
 	"cpsinw/internal/core"
 	"cpsinw/internal/device"
@@ -237,8 +238,8 @@ func BenchmarkStuckAtFaultSim(b *testing.B) {
 // BenchmarkTransistorCampaign is the perf-regression harness of the
 // fault engines: a full CP transistor-fault campaign (channel break +
 // stuck-on + polarity, with IDDQ) on the largest benchmark circuit
-// (mult3, 39 gates) through the serial oracle, the compiled cone
-// engine and the packed PPSFP engine. All engines return bit-identical
+// (mult3, 39 gates) through the serial oracle and the packed PPSFP
+// engine. Both engines return bit-identical
 // detections (enforced by internal/faultsim's differential tests and
 // re-checked here), so the ratios are pure engine speedup;
 // BENCH_faultsim.json at the repo root records the trajectory. Run
@@ -270,7 +271,7 @@ func BenchmarkTransistorCampaign(b *testing.B) {
 	}
 
 	results := map[string][]faultsim.Detection{}
-	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EngineCompiled, faultsim.EnginePacked} {
+	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EnginePacked} {
 		engine := engine
 		b.Run(engine.String(), func(b *testing.B) { results[engine.String()] = run(b, engine) })
 	}
@@ -314,7 +315,7 @@ func BenchmarkBridgeCampaign(b *testing.B) {
 	}
 
 	results := map[string][]faultsim.BridgeDetection{}
-	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EngineCompiled, faultsim.EnginePacked} {
+	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EnginePacked} {
 		engine := engine
 		b.Run(engine.String(), func(b *testing.B) { results[engine.String()] = run(b, engine) })
 	}
@@ -335,22 +336,15 @@ func BenchmarkBridgeCampaign(b *testing.B) {
 
 // engineGateEvals reads the engine-native gate-evaluation counter for
 // one engine from the process-wide faultsim stats. The units differ per
-// engine (scalar LUT lookups, packed 64-lane evaluations, full hooked
-// switch-level maps), so the throughput figures below compare an engine
-// only against itself over time.
+// engine (packed 64-lane evaluations, full hooked switch-level maps), so
+// the throughput figures below compare an engine only against itself
+// over time.
 func engineGateEvals(engine faultsim.Engine) uint64 {
 	s := faultsim.ReadEngineStats()
-	switch engine {
-	case faultsim.EngineReference:
+	if engine == faultsim.EngineReference {
 		return s.ReferenceGateEvals
-	case faultsim.EnginePacked:
-		return s.PackedGateEvals
-	case faultsim.EngineAuto:
-		// Auto resolves to compiled or packed per campaign; charge both.
-		return s.ConeGateEvals + s.PackedGateEvals
-	default:
-		return s.ConeGateEvals
 	}
+	return s.PackedGateEvals
 }
 
 // reportGateEvals attaches engine-native gate-evals/sec (and per op) to
@@ -364,56 +358,87 @@ func reportGateEvals(b *testing.B, engine faultsim.Engine, evals0 uint64) {
 }
 
 // BenchmarkFaultSimScaling is the gates x faults x patterns scaling
-// sweep over the generated corpus: array multipliers at ~100, ~1k and
-// ~10k gates (mult5 / mult16 / mult50, sizes pinned by
-// internal/bench's TestCorpusScales), a fixed 64-fault sample of the
-// CP transistor universe and 64 random patterns, per engine (including
-// the auto chooser, which must match or beat the best single engine on
-// every row — that requirement is what calibrates ChooseEngine's
-// constants, see docs/benchmarks.md). The fault
-// and pattern budgets are held constant across sizes so the per-op
-// time isolates how each engine's cost grows with gate count;
-// gate_evals/s shows whether the cone restriction and bitplane packing
-// hold their throughput as circuits grow. Dated results live in
-// BENCH_faultsim.json ("scaling" entries). -short keeps only the
-// ~100-gate row (the CI bench-smoke budget):
+// sweep over the generated corpus, per engine. The first three rows
+// are array multipliers at ~100, ~1k and ~10k gates (mult5 / mult16 /
+// mult50, sizes pinned by internal/bench's TestCorpusScales) with a
+// fixed 64-fault sample of the CP transistor universe and 64 random
+// patterns: the fault and pattern budgets are held constant across
+// sizes so the per-op time isolates how each engine's cost grows with
+// gate count. The remaining rows are the skinny campaigns where a
+// scalar engine with a first-hit early exit could beat pattern-parallel
+// simulation: few patterns on the 10k-gate circuit, many faults with
+// few patterns, a near-degenerate fault count, and a two-pattern
+// stuck-open campaign over channel-break faults (the packed engine
+// measured 1.5-2.8x faster than the retired scalar cone engine on all
+// four). The packed engine must return detections bit-identical to
+// the reference oracle on every row. Dated results live in BENCH_faultsim.json ("scaling" entries).
+// -short keeps only the ~100-gate row (the CI bench-smoke budget):
 //
 //	go test -bench=BenchmarkFaultSimScaling -benchtime=3x
 func BenchmarkFaultSimScaling(b *testing.B) {
-	const nFaults, nPatterns = 64, 64
-	for _, name := range []string{"mult5", "mult16", "mult50"} {
-		if testing.Short() && name != "mult5" {
+	rows := []struct {
+		name, circuit    string
+		faults, patterns int // patterns counts pairs on two-pattern rows
+		twoPattern       bool
+	}{
+		{"mult5", "mult5", 64, 64, false},
+		{"mult16", "mult16", 64, 64, false},
+		{"mult50", "mult50", 64, 64, false},
+		{"mult50-64x16", "mult50", 64, 16, false},
+		{"mult16-200x16", "mult16", 200, 16, false},
+		{"mult16-3x64", "mult16", 3, 64, false},
+		{"mult16-pairs-64x16", "mult16", 64, 16, true},
+	}
+	for _, row := range rows {
+		if testing.Short() && row.name != "mult5" {
 			continue
 		}
-		c, err := bench.Get(name)
+		c, err := bench.Get(row.circuit)
 		if err != nil {
 			b.Fatal(err)
 		}
-		all := core.Universe(c, core.UniverseOptions{
-			ChannelBreak: true, StuckOn: true, Polarity: true,
-		})
+		uopt := core.UniverseOptions{ChannelBreak: true, StuckOn: true, Polarity: true}
+		if row.twoPattern {
+			uopt = core.UniverseOptions{ChannelBreak: true}
+		}
+		all := core.Universe(c, uopt)
 		// Deterministic stride sample: same faults every run, spread
 		// across the whole circuit rather than clustered at its inputs.
 		faults := all
-		if len(all) > nFaults {
-			faults = make([]core.Fault, 0, nFaults)
-			for i := 0; i < nFaults; i++ {
-				faults = append(faults, all[i*len(all)/nFaults])
+		if len(all) > row.faults {
+			faults = make([]core.Fault, 0, row.faults)
+			for i := 0; i < row.faults; i++ {
+				faults = append(faults, all[i*len(all)/row.faults])
 			}
 		}
-		patterns := randomPatterns(c, nPatterns)
+		var patterns []faultsim.Pattern
+		var pairs [][2]faultsim.Pattern
+		if row.twoPattern {
+			ps := randomPatterns(c, 2*row.patterns)
+			for k := 0; k < row.patterns; k++ {
+				pairs = append(pairs, [2]faultsim.Pattern{ps[2*k], ps[2*k+1]})
+			}
+		} else {
+			patterns = randomPatterns(c, row.patterns)
+		}
 
 		results := map[string][]faultsim.Detection{}
-		for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EngineCompiled, faultsim.EnginePacked, faultsim.EngineAuto} {
+		for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EnginePacked} {
 			engine := engine
-			b.Run(fmt.Sprintf("%s/%s", name, engine), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", row.name, engine), func(b *testing.B) {
 				sim := faultsim.New(c)
 				sim.Engine = engine
 				var last []faultsim.Detection
 				b.ResetTimer()
 				evals0 := engineGateEvals(engine)
 				for i := 0; i < b.N; i++ {
-					ds, err := sim.RunTransistor(faults, patterns, true)
+					var ds []faultsim.Detection
+					var err error
+					if row.twoPattern {
+						ds, err = sim.RunTwoPattern(faults, pairs)
+					} else {
+						ds, err = sim.RunTransistor(faults, patterns, true)
+					}
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -432,11 +457,34 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 			for i := range ref {
 				if ref[i].Method != cmp[i].Method || ref[i].Pattern != cmp[i].Pattern {
 					b.Fatalf("%s: %s disagrees on %v: (%q, %d) vs (%q, %d)",
-						name, ename, ref[i].Fault, ref[i].Method, ref[i].Pattern, cmp[i].Method, cmp[i].Pattern)
+						row.name, ename, ref[i].Fault, ref[i].Method, ref[i].Pattern, cmp[i].Method, cmp[i].Pattern)
 				}
 			}
 		}
 	}
+}
+
+// BenchmarkATPGGenerate times the full ATPG campaign (PODEM for line
+// stuck-at faults plus polarity and channel-break generation, fault
+// dropping through the default packed simulator) on the ISCAS c432
+// netlist. PODEM dominates the cost, so the fault-drop engine barely
+// moves it; vectors and coverage must not move at all.
+//
+//	go test -bench=BenchmarkATPGGenerate -benchtime=3x
+func BenchmarkATPGGenerate(b *testing.B) {
+	c, err := bench.Get("c432")
+	if err != nil {
+		b.Fatal(err)
+	}
+	universe := core.Universe(c, core.UniverseOptions{
+		LineStuckAt: true, ChannelBreak: true, StuckOn: true, Polarity: true,
+	})
+	var res *atpg.CampaignResult
+	for i := 0; i < b.N; i++ {
+		res = atpg.Generate(c, universe, atpg.Options{})
+	}
+	b.ReportMetric(float64(res.Set.TotalVectors()), "vectors")
+	b.ReportMetric(res.Coverage(), "coverage_pct")
 }
 
 // BenchmarkDictionaryCapture prices the fault-dictionary signature

@@ -60,7 +60,7 @@ func runBuild(args []string) {
 	circuit := fs.String("circuit", "", "built-in benchmark name (empty: read .bench from stdin)")
 	patterns := fs.Int("patterns", 256, "random patterns (exhaustive when inputs <= 12)")
 	seed := fs.Int64("seed", 1, "random pattern seed")
-	engine := fs.String("engine", "", "fault-simulation engine: auto, compiled, packed or reference")
+	engine := fs.String("engine", "", "fault-simulation engine: packed or reference")
 	stuckAt := fs.Bool("stuck-at", true, "include classical stuck-at faults")
 	polarity := fs.Bool("polarity", true, "include polarity (SA-n/SA-p) faults")
 	stuckOpen := fs.Bool("stuck-open", true, "include channel-break faults")

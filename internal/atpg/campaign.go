@@ -150,8 +150,8 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 
 	// --- Polarity faults, with fault dropping: a polarity fault the
 	// voltage patterns generated so far already catch needs no dedicated
-	// vector. The check runs through the simulator's engine (the
-	// compiled LUT/cone engine by default) and is incremental — one
+	// vector. The check runs through the simulator's engine (the packed
+	// engine by default) and is incremental — one
 	// batched pass over the stuck-at patterns, then one single-pattern
 	// pass per newly generated vector — so good baselines are never
 	// recomputed per fault.

@@ -28,7 +28,7 @@ func TestGenerateEngineParity(t *testing.T) {
 			LineStuckAt: true, ChannelBreak: true, StuckOn: true, Polarity: true,
 		})
 		ref := Generate(c, universe, Options{Engine: faultsim.EngineReference})
-		for _, eng := range []faultsim.Engine{faultsim.EngineCompiled, faultsim.EnginePacked} {
+		for _, eng := range []faultsim.Engine{faultsim.EnginePacked} {
 			got := Generate(c, universe, Options{Engine: eng})
 			if got.StuckAtCovered != ref.StuckAtCovered ||
 				got.PolarityCovered != ref.PolarityCovered ||

@@ -17,7 +17,7 @@ import (
 type Options struct {
 	MaxBacktracks int // per PODEM attempt (default 4096)
 	// Engine selects the fault-simulation engine the campaign uses for
-	// fault dropping and verification (default: the compiled engine).
+	// fault dropping and verification (default: the packed engine).
 	Engine faultsim.Engine
 	// Progress, when set, receives a snapshot after every per-fault
 	// generation attempt of GenerateContext. Calls are made from the

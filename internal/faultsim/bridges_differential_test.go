@@ -10,8 +10,8 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// The compiled dense-net and packed 64-way bridge engines must be
-// bit-identical to the hooked fixpoint oracle: same Detected flag, same
+// The packed 64-way bridge engine must be bit-identical to the hooked
+// fixpoint oracle: same Detected flag, same
 // Method AND same first detecting pattern for every bridge, on
 // arbitrary circuits, bridge lists (all four resolution kinds,
 // including bridges naming nets absent from the circuit) and ternary
@@ -20,7 +20,7 @@ import (
 // randomBridges draws bridge instances over the circuit's nets: every
 // resolution kind, occasional self-bridges and occasional "ghost" ends
 // naming no net at all (which the oracle reads as constant 0 — a
-// semantics the fast engines must reproduce exactly).
+// semantics the packed engine must reproduce exactly).
 func randomBridges(rng *rand.Rand, c *logic.Circuit, n int) []core.Bridge {
 	nets := c.Nets()
 	pick := func() string {

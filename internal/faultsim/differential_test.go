@@ -10,18 +10,14 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// The compiled LUT/cone engine and the bit-parallel packed PPSFP
-// engine must be bit-identical to the serial EvalHooked reference
-// engine: same Detection method AND same first detecting pattern for
-// every fault, on arbitrary circuits, fault lists and pattern sets
-// (including X and missing inputs). The reference engine stays
-// available as the oracle via EngineReference.
+// The bit-parallel packed PPSFP engine must be bit-identical to the
+// serial EvalHooked reference engine: same Detection method AND same
+// first detecting pattern for every fault, on arbitrary circuits, fault
+// lists and pattern sets (including X and missing inputs). The
+// reference engine stays available as the oracle via EngineReference.
 
 // fastEngines are the engines proven against the reference oracle.
-// EngineAuto resolves to compiled or packed per campaign, so running it
-// through the same suites pins the chooser to bit-identical results on
-// both sides of every decision boundary.
-var fastEngines = []Engine{EngineCompiled, EnginePacked, EngineAuto}
+var fastEngines = []Engine{EnginePacked}
 
 // randomTernaryPatterns draws patterns that exercise the ternary paths:
 // mostly binary values, some explicit X, some inputs left unassigned.
@@ -72,7 +68,7 @@ func diffDetections(t *testing.T, label string, ref, got []Detection) {
 	}
 	for i := range ref {
 		if ref[i].Method != got[i].Method || ref[i].Pattern != got[i].Pattern {
-			t.Errorf("%s: fault %v: reference (%q, %d) vs compiled (%q, %d)",
+			t.Errorf("%s: fault %v: reference (%q, %d) vs engine (%q, %d)",
 				label, ref[i].Fault, ref[i].Method, ref[i].Pattern, got[i].Method, got[i].Pattern)
 		}
 	}
@@ -152,9 +148,9 @@ func TestDifferentialTwoPatternEngines(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallelCompiled checks the pooled compiled driver
-// against the serial reference, including cancellation error parity.
-func TestDifferentialParallelCompiled(t *testing.T) {
+// TestDifferentialParallelPacked checks the pooled packed driver
+// against the serial reference.
+func TestDifferentialParallelPacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for ci := 0; ci < 10; ci++ {
 		c := bench.Random(rng.Int63(), 4+rng.Intn(5), 5+rng.Intn(25))
@@ -181,10 +177,10 @@ func TestDifferentialParallelCompiled(t *testing.T) {
 	}
 }
 
-// TestCompiledEngineErrorParity: both engines reject unknown gates and
-// unknown transistors identically (and stay silent on empty pattern
-// sets, where the reference never builds hooks).
-func TestCompiledEngineErrorParity(t *testing.T) {
+// TestEngineErrorParity: both engines reject unknown gates and unknown
+// transistors identically (and stay silent on empty pattern sets, where
+// the reference never builds hooks).
+func TestEngineErrorParity(t *testing.T) {
 	c := bench.C17()
 	bad := []core.Fault{
 		{Kind: core.FaultStuckOn, Gate: "nope", Transistor: "t1"},
@@ -192,7 +188,7 @@ func TestCompiledEngineErrorParity(t *testing.T) {
 	}
 	pats := ExhaustivePatterns(c)
 	for _, f := range bad {
-		for _, eng := range []Engine{EngineReference, EngineCompiled, EnginePacked} {
+		for _, eng := range []Engine{EngineReference, EnginePacked} {
 			s := New(c)
 			s.Engine = eng
 			if _, err := s.RunTransistor([]core.Fault{f}, pats, true); err == nil {

@@ -1,9 +1,10 @@
 // Package faultsim provides the fault simulation engines of the
 // reproduction: 64-way parallel-pattern simulation for classical line
-// stuck-at faults, serial ternary simulation with behaviour-table
+// stuck-at faults, bit-parallel ternary simulation with behaviour-table
 // injection for the CP transistor faults (channel break, stuck-on and the
 // paper's stuck-at n-type / p-type polarity faults), IDDQ observability,
-// and sequence-aware two-pattern simulation for stuck-open testing.
+// and sequence-aware two-pattern simulation for stuck-open testing, with
+// a serial switch-level engine kept as the differential oracle.
 package faultsim
 
 import (
@@ -44,9 +45,8 @@ func (d Detection) Detected() bool { return d.Method != ByNone }
 type Simulator struct {
 	C *logic.Circuit
 
-	// Engine selects the transistor-fault implementation; the zero value
-	// is the compiled LUT/cone engine, EngineReference the serial oracle,
-	// EngineAuto a per-campaign choice between compiled and packed.
+	// Engine selects the transistor-fault and bridge implementation; the
+	// zero value is the packed engine, EngineReference the serial oracle.
 	Engine Engine
 
 	// LaneWords, when 1, 2 or 4, pins the packed engine's lane-block
@@ -78,11 +78,6 @@ type Simulator struct {
 	// Packed-engine scratch pool: the buffers and the scratch-local
 	// LUT-resolution caches stay warm across campaigns.
 	scratchPool sync.Pool
-
-	// Compiled-engine cone scratch pool, warm across campaigns for the
-	// same reason (the per-net value and stamp slices dominate small
-	// campaigns).
-	coneScratchPool sync.Pool
 }
 
 // New builds a simulator for the circuit.
@@ -279,20 +274,15 @@ func (s *Simulator) transistorHooks(f core.Fault, leak *bool) (logic.TernaryHook
 // Output differences at POs detect by voltage; when useIDDQ is set, a
 // leak signature detects by quiescent-current measurement (the paper's
 // IDDQ observability for pull-up polarity faults). The simulator's
-// Engine selects the implementation: compiled LUT + cone propagation by
-// default, bit-parallel PPSFP lane blocks under EnginePacked, the
-// serial hooked oracle under EngineReference, and a per-campaign
-// compiled/packed choice under EngineAuto; all of them return identical
-// detections. RunTransistorParallel spreads the same work over a
-// goroutine pool.
+// Engine selects the implementation: bit-parallel PPSFP lane blocks by
+// default, the serial hooked oracle under EngineReference; both return
+// identical detections. RunTransistorParallel spreads the same work
+// over a goroutine pool.
 func (s *Simulator) RunTransistor(faults []core.Fault, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
-	switch s.resolveEngine(len(faults), len(patterns)) {
-	case EngineReference:
+	if s.Engine == EngineReference {
 		return s.runTransistorSerial(context.Background(), faults, patterns, useIDDQ)
-	case EnginePacked:
-		return s.runTransistorPacked(context.Background(), faults, patterns, useIDDQ)
 	}
-	return s.runTransistorCompiled(context.Background(), faults, patterns, useIDDQ)
+	return s.runTransistorPacked(context.Background(), faults, patterns, useIDDQ)
 }
 
 // outputsDiffer reports a definite PO mismatch (X never counts).
@@ -311,21 +301,18 @@ func (s *Simulator) outputsDiffer(good, faulty map[string]logic.V) bool {
 // charge retention at the faulty gate: the first pattern initialises the
 // gate output, the second exposes a floating output retaining the stale
 // value. Detection requires a definite PO difference under the second
-// pattern. The simulator's Engine selects the implementation (compiled
-// stuck-open transition LUTs by default; packed block propagation of the
-// same LUTs under EnginePacked; a per-campaign choice under EngineAuto).
+// pattern. The simulator's Engine selects the implementation: packed
+// block propagation of the stuck-open transition LUTs by default, the
+// stateful switch-level oracle under EngineReference.
 func (s *Simulator) RunTwoPattern(faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
 	return s.RunTwoPatternContext(context.Background(), faults, pairs)
 }
 
 // RunTwoPatternContext is RunTwoPattern with cooperative cancellation
-// checked between faults on every engine path; all paths report
-// per-fault progress on the "two_pattern" stage.
+// checked between faults on both engine paths; both report per-fault
+// progress on the "two_pattern" stage.
 func (s *Simulator) RunTwoPatternContext(ctx context.Context, faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
-	switch s.resolveEngine(len(faults), len(pairs)) {
-	case EngineCompiled:
-		return s.runTwoPatternCompiled(ctx, faults, pairs)
-	case EnginePacked:
+	if s.Engine != EngineReference {
 		return s.runTwoPatternPacked(ctx, faults, pairs)
 	}
 	sink := s.progressSink("two_pattern", len(faults))

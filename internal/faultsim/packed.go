@@ -1,14 +1,13 @@
 // Packed PPSFP engine: N×64 ternary patterns per lane block (two
-// bitplane words per 64 lanes), evaluated through the same compiled
-// gate and per-fault behaviour LUTs as the scalar cone engine.
-// Baselines are packed once per campaign; each fault then needs one
-// packed behaviour-LUT evaluation plus one event-driven packed
-// propagation per block, instead of one scalar cone pass per pattern.
-// When the campaign has fewer patterns than lanes, independent faults
-// are packed into the spare lanes and share a single propagation pass.
-// Defined to be bit-identical to the reference and compiled engines
-// (same detection method, same first detecting pattern), which the
-// differential suites enforce.
+// bitplane words per 64 lanes), evaluated through the compiled gate
+// LUTs and the per-fault behaviour LUTs. Baselines are packed once per
+// campaign; each fault then needs one packed behaviour-LUT evaluation
+// plus one event-driven packed propagation per block, instead of one
+// circuit pass per pattern. When the campaign has fewer patterns than
+// lanes, independent faults are packed into the spare lanes and share
+// a single propagation pass. Defined to be bit-identical to the
+// reference engine (same detection method, same first detecting
+// pattern), which the differential suites enforce.
 package faultsim
 
 import (
@@ -38,7 +37,7 @@ type packedBase struct {
 // packTernaryBlock packs patterns into width-w input blocks, replicating
 // the whole pattern list `copies` times across consecutive lane groups
 // (copies > 1 builds the shared baseline of a fault-packed batch).
-// Inputs missing from a pattern are X, matching the scalar map-based
+// Inputs missing from a pattern are X, matching the reference map-based
 // evaluation; lanes beyond the replicated patterns stay X.
 func (s *Simulator) packTernaryBlock(patterns []Pattern, w, copies int) []logic.PackedVec {
 	in := make([]logic.PackedVec, len(s.C.Inputs)*w)
@@ -293,7 +292,7 @@ type packedSeed struct {
 
 // resolve finalizes a seed after propagation: the earliest lane of the
 // combined leak/diff mask wins, leak beating output at equal lanes (the
-// per-pattern observation order of the scalar engines).
+// per-pattern observation order of the reference engine).
 func (sd *packedSeed) resolve(w int) (DetectMethod, int, bool) {
 	var m [logic.MaxLaneWords]uint64
 	for j := 0; j < w; j++ {
@@ -309,8 +308,8 @@ func (sd *packedSeed) resolve(w int) (DetectMethod, int, bool) {
 	return ByOutput, sd.patOff + lane, true
 }
 
-// packedScratch is the packed counterpart of coneScratch: epoch-stamped
-// faulty lane blocks over the chunk baseline, per-net dirty word masks
+// packedScratch is the reusable per-worker state of the packed engine:
+// epoch-stamped faulty lane blocks over the chunk baseline, per-net dirty word masks
 // and a topological-position min-heap of pending gates. The event-driven
 // walk evaluates only gates with a dirty fanin word, and only the dirty
 // words of those gates, so sparse campaigns never touch the static
@@ -771,8 +770,8 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 }
 
 // simulateTransistorFaultPacked is the packed counterpart of
-// simulateTransistorFaultCompiled: identical Detection results, one
-// packed behaviour-LUT evaluation plus one event-driven block pass per
+// simulateTransistorFault: identical Detection results, one packed
+// behaviour-LUT evaluation plus one event-driven block pass per
 // chunk. A non-nil sig disables the chunk early exits and the seed
 // early-retirement, records fault si's full signature from the
 // propagated lane masks and derives the Detection through the same
@@ -812,7 +811,7 @@ func (s *Simulator) simulateTransistorFaultPacked(f core.Fault, si int, bases []
 			continue
 		}
 		// Per pattern, the leak check precedes the output compare
-		// (mirroring the scalar engines); across patterns the earliest
+		// (mirroring the reference engine); across patterns the earliest
 		// lane wins. A leak at or before the first excited lane therefore
 		// decides without propagation — no output difference can come
 		// earlier.

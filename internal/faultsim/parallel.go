@@ -97,7 +97,7 @@ func (s *Simulator) runTransistorSerial(ctx context.Context, faults []core.Fault
 	}
 	// Baseline (good-circuit) evals count toward campaign progress but
 	// not the per-engine faulty-evaluation counters, mirroring the
-	// compiled and packed engines.
+	// packed engine.
 	sink.add(0, 0, 0, uint64(len(patterns))*uint64(len(s.C.Gates)))
 	for i, f := range faults {
 		if err := ctx.Err(); err != nil {
@@ -152,7 +152,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 	if len(faults) == 0 {
 		return []Detection{}, ctx.Err()
 	}
-	engine := s.resolveEngine(len(faults), len(patterns))
+	engine := s.Engine
 	sig := s.Signatures
 	if sig != nil {
 		if err := sig.check(len(faults), len(patterns)); err != nil {
@@ -166,35 +166,28 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 		workers = len(faults)
 	}
 	if workers == 1 || len(faults) < 2 {
-		switch engine {
-		case EngineReference:
+		if engine == EngineReference {
 			return s.runTransistorSerial(ctx, faults, patterns, useIDDQ)
-		case EnginePacked:
-			return s.runTransistorPacked(ctx, faults, patterns, useIDDQ)
 		}
-		return s.runTransistorCompiled(ctx, faults, patterns, useIDDQ)
+		return s.runTransistorPacked(ctx, faults, patterns, useIDDQ)
 	}
 
 	// Good-circuit responses are computed once and shared read-only:
-	// hooked maps for the reference engine, dense baselines for the
-	// compiled engine, packed lane blocks for the packed one (each
-	// worker carries its own scratch).
+	// hooked maps for the reference engine, packed lane blocks for the
+	// packed one (each worker carries its own scratch).
 	sink := s.progressSink("transistor", len(faults))
 	var goods []map[string]logic.V
-	var base [][]logic.V
 	var pl packedPlan
-	baseEvals := uint64(len(patterns)) * uint64(len(s.C.Gates))
-	switch engine {
-	case EngineReference:
+	var baseEvals uint64
+	if engine == EngineReference {
 		goods = make([]map[string]logic.V, len(patterns))
 		for k, p := range patterns {
 			goods[k] = s.C.Eval(map[string]logic.V(p))
 		}
-	case EnginePacked:
+		baseEvals = uint64(len(patterns)) * uint64(len(s.C.Gates))
+	} else {
 		pl = s.packedPlanFor(faults, patterns)
 		baseEvals = pl.baseEvals(len(s.C.Gates))
-	default:
-		base = s.evalBaselines(patterns)
 	}
 	sink.add(0, 0, 0, baseEvals)
 
@@ -217,22 +210,17 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc *coneScratch
 			var psc *packedScratch
-			switch engine {
-			case EngineReference:
-			case EnginePacked:
+			if engine != EngineReference {
 				psc = s.packedScratchOf()
 				psc.ensure(pl.w)
-			default:
-				sc = s.coneScratchOf()
 			}
 			for r := range ranges {
 				if ctx.Err() != nil || errSet.Load() {
 					continue // drain without working once canceled or failed
 				}
 				idxs := ord[r[0]:r[1]]
-				if engine == EnginePacked && pl.gb != nil {
+				if psc != nil && pl.gb != nil {
 					if err := s.runPackedGrouped(ctx, faults, idxs, pl.gb, psc, useIDDQ, sig, sink, out); err != nil && ctx.Err() == nil {
 						fail(err)
 					}
@@ -245,18 +233,13 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 					var d Detection
 					var err error
 					var evals uint64
-					switch engine {
-					case EngineReference:
+					if psc == nil {
 						d, err = s.simulateTransistorFault(faults[i], patterns, goods, useIDDQ, sig, i)
 						evals = s.referenceFaultEvals(faults[i], d, len(patterns), sig != nil)
-					case EnginePacked:
+					} else {
 						before := psc.lifetimeEvals()
 						d, err = s.simulateTransistorFaultPacked(faults[i], i, pl.bases, psc, useIDDQ, sig)
 						evals = psc.lifetimeEvals() - before
-					default:
-						before := sc.lifetimeEvals()
-						d, err = s.simulateTransistorFaultCompiled(faults[i], i, patterns, base, sc, useIDDQ, sig)
-						evals = sc.lifetimeEvals() - before
 					}
 					if err != nil {
 						fail(err)
@@ -268,9 +251,6 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 			}
 			if psc != nil {
 				s.putPackedScratch(psc)
-			}
-			if sc != nil {
-				s.putConeScratch(sc)
 			}
 		}()
 	}

@@ -13,8 +13,8 @@ import (
 // simulation because their kind is out of scope for the stage (line
 // faults handed to a transistor campaign, analog-only kinds). GateEvals
 // counts engine-native gate evaluations attributable to the stage so
-// far — scalar LUT lookups for the compiled engine, packed evaluations
-// (each covering up to 64 pattern lanes) for the packed engine, full
+// far — packed evaluations (each covering up to 64 pattern lanes) for
+// the packed engine, full
 // hooked-map gate evaluations for the reference oracle — so rates are
 // comparable within an engine, not across engines.
 type Progress struct {

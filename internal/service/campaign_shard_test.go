@@ -108,7 +108,7 @@ func TestShardedMergeBitIdenticalProperty(t *testing.T) {
 }
 
 // TestShardedMult16Differential pins the mult16 campaign (random
-// patterns, auto engine, ATPG riding along) sharded vs unsharded.
+// patterns, packed engine) sharded vs unsharded.
 func TestShardedMult16Differential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mult16 differential is a long test")

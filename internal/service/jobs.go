@@ -28,11 +28,6 @@ var ErrClosed = errors.New("service: manager closed")
 // need deterministic blocking, cancellation or synthetic progress.
 var runCampaign = RunCampaignObserved
 
-// subscriberBuffer is the per-subscriber event channel depth; a slow
-// consumer drops intermediate frames (each frame is a full snapshot)
-// and always receives the terminal state via channel close.
-const subscriberBuffer = 64
-
 // Job is one campaign submission moving through the queue.
 type Job struct {
 	ID  string
@@ -47,7 +42,7 @@ type Job struct {
 	report *CampaignReport
 
 	// Live observability: the latest progress snapshot, the SSE
-	// subscriber channels, and the broadcast throttle state.
+	// subscriber mailboxes, and the broadcast throttle state.
 	progress   *JobProgress
 	subs       []chan JobStatus
 	lastEmit   time.Time
@@ -93,21 +88,25 @@ func (j *Job) Report() (*CampaignReport, JobState, string) {
 	return j.report, j.state, j.err
 }
 
-// broadcastLocked delivers one snapshot to every subscriber without
-// blocking: a full consumer misses this frame (every frame is a
-// self-contained snapshot) and learns the terminal state from the
-// channel close. Callers hold j.mu.
+// broadcastLocked delivers one snapshot to every subscriber. Each
+// subscriber channel is a one-slot mailbox holding the latest snapshot:
+// an unread older frame is replaced (every frame is a self-contained
+// snapshot), so a slow consumer skips intermediate frames but never
+// loses the newest one. The send cannot block: all sends happen under
+// j.mu, right after the slot was emptied. Callers hold j.mu.
 func (j *Job) broadcastLocked(st JobStatus) {
 	for _, ch := range j.subs {
 		select {
-		case ch <- st:
+		case <-ch:
 		default:
 		}
+		ch <- st
 	}
 }
 
-// closeSubsLocked ends every subscription; buffered frames still drain
-// to the consumers before they observe the close. Callers hold j.mu.
+// closeSubsLocked ends every subscription; a snapshot still in a
+// mailbox drains to its consumer before it observes the close. Callers
+// hold j.mu.
 func (j *Job) closeSubsLocked() {
 	for _, ch := range j.subs {
 		close(ch)
@@ -330,18 +329,18 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 		}
 	}
 
-	select {
-	case m.queue <- job:
-	default:
+	// Submit is the queue's only sender and holds m.mu, so a free slot
+	// seen here is still free at the send below.
+	if len(m.queue) == cap(m.queue) {
 		m.seq-- // the rejected job never existed
 		m.metrics.RejectedQueueFull.Inc()
 		return nil, ErrQueueFull
 	}
-	m.jobs[job.ID] = job
-	m.metrics.Submitted.Inc()
 	// The pending marker makes the accepted campaign durable: if the
 	// process stops before the report lands, the next start surfaces it
-	// as a resumable job instead of losing it silently.
+	// as a resumable job instead of losing it silently. It is written
+	// before the job is queued, so a worker finishing the campaign
+	// always finds (and retires) it.
 	if m.store != nil {
 		pc := pendingCampaign{Request: job.req, Submitted: rfc3339(job.submitted), JobID: job.ID}
 		if _, err := m.store.Put(resultstore.KindPending, key, pc); err != nil {
@@ -349,6 +348,9 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 		}
 	}
 	m.log.Debug("campaign queued", "job", job.ID, "engine", job.req.Engine, "key", job.Key)
+	m.jobs[job.ID] = job
+	m.metrics.Submitted.Inc()
+	m.queue <- job
 	return job, nil
 }
 
@@ -435,7 +437,18 @@ func (m *Manager) Resume(id string) (*Job, error) {
 	if state != StateResumable {
 		return nil, fmt.Errorf("service: job %s is %s, not resumable", id, state)
 	}
-	return m.Submit(req)
+	nj, err := m.Submit(req)
+	if err != nil {
+		return nil, err
+	}
+	// A marker stored under an older canonical form of the request (a
+	// legacy engine name) has a different key than the resubmission,
+	// which carries its own marker from Submit: retire the old one so
+	// it cannot resurrect after the campaign finishes.
+	if m.store != nil && nj.Key != j.Key {
+		_ = m.store.Delete(resultstore.KindPending, j.Key)
+	}
+	return nj, nil
 }
 
 func sortStatusesByID(sts []JobStatus) {
@@ -461,7 +474,7 @@ func (m *Manager) Get(id string) (*Job, bool) {
 // cancel func is idempotent and must be called to release the
 // subscription.
 func (m *Manager) Subscribe(j *Job) (<-chan JobStatus, func()) {
-	ch := make(chan JobStatus, subscriberBuffer)
+	ch := make(chan JobStatus, 1) // latest-snapshot mailbox, see broadcastLocked
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -684,6 +697,28 @@ func (m *Manager) parkResumable(job *Job, reason string) {
 	m.log.Info("campaign parked", "job", job.ID, "state", string(state))
 }
 
+// settleStore makes a finished run's outcome durable before anything
+// publishes it: the report is written under its content address, then
+// the pending marker is deleted, so "done" always means the report is
+// on disk. A failed write turns the run into a failure that keeps its
+// marker — the campaign is still worth finishing after a restart. A
+// deterministic failure would fail again on resume, so its marker is
+// dropped; canceled (deadline) and drained runs keep theirs.
+func (m *Manager) settleStore(job *Job, rep *CampaignReport, err error) error {
+	switch {
+	case err == nil:
+		if _, perr := m.store.Put(resultstore.KindReport, job.Key, rep); perr != nil {
+			m.metrics.ReportPersistFailed.Inc()
+			return fmt.Errorf("report not persisted: %w", perr)
+		}
+		_ = m.store.Delete(resultstore.KindPending, job.Key)
+	case errors.Is(err, shard.ErrDraining), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	default:
+		_ = m.store.Delete(resultstore.KindPending, job.Key)
+	}
+	return err
+}
+
 func (m *Manager) run(job *Job) {
 	timeout := m.cfg.JobTimeout
 	if job.req.TimeoutMS > 0 {
@@ -709,15 +744,10 @@ func (m *Manager) run(job *Job) {
 	root.Record("parse", job.parseStart, job.parseEnd)
 	root.Record("queued", job.submitted, job.started)
 
-	switch job.req.Engine {
-	case "reference":
+	if job.req.Engine == "reference" {
 		m.metrics.ReferenceJobs.Inc()
-	case "packed":
+	} else {
 		m.metrics.PackedJobs.Inc()
-	case "auto":
-		m.metrics.AutoJobs.Inc()
-	default:
-		m.metrics.CompiledJobs.Inc()
 	}
 	m.log.Info("campaign started", "job", job.ID, "engine", job.req.Engine)
 
@@ -740,6 +770,9 @@ func (m *Manager) run(job *Job) {
 		rep, err = runCampaign(ctx, job.circuit, job.req, observer)
 	}
 	root.End()
+	if m.store != nil {
+		err = m.settleStore(job, rep, err)
+	}
 
 	job.mu.Lock()
 	job.finished = time.Now()
@@ -780,21 +813,6 @@ func (m *Manager) run(job *Job) {
 	job.closeSubsLocked()
 	job.mu.Unlock()
 
-	if m.store != nil {
-		switch state {
-		case StateDone:
-			if _, perr := m.store.Put(resultstore.KindReport, job.Key, rep); perr != nil {
-				m.log.Warn("report not persisted", "job", job.ID, "key", job.Key, "error", perr.Error())
-			}
-			_ = m.store.Delete(resultstore.KindPending, job.Key)
-		case StateFailed:
-			// A deterministic failure would fail again on resume; drop
-			// the marker so it does not resurrect forever.
-			_ = m.store.Delete(resultstore.KindPending, job.Key)
-		}
-		// Canceled (deadline) and resumable keep their markers: both
-		// represent work worth finishing after a restart.
-	}
 	m.metrics.ObserveLatency(elapsed)
 	m.noteTerminal(job.ID)
 	if state == StateDone {

@@ -360,6 +360,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"cpsinw_shard_cache_hits_total counter",
 		"cpsinw_shard_quarantined_total counter",
 		"cpsinw_resultstore_report_hits_total counter",
+		"cpsinw_resultstore_report_persist_failures_total counter",
 		"cpsinw_job_duration_seconds histogram",
 		"cpsinw_stage_duration_seconds histogram",
 		"cpsinw_queue_depth gauge",
@@ -372,8 +373,6 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"cpsinw_faultsim_fault_runs_total counter",
 		"cpsinw_faultsim_bridge_runs_total counter",
 		"cpsinw_faultsim_gate_evals_total counter",
-		"cpsinw_faultsim_auto_choices_total counter",
-		"cpsinw_faultsim_gate_evals_skipped_total counter",
 		"cpsinw_faultsim_fault_luts_compiled_total counter",
 		"cpsinw_faultsim_two_pattern_runs_total counter",
 	}
@@ -396,11 +395,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 
 	for _, series := range []string{
-		`cpsinw_jobs_engine_total{engine="compiled"}`,
-		`cpsinw_jobs_engine_total{engine="auto"}`,
-		`cpsinw_faultsim_auto_choices_total{engine="compiled"}`,
-		`cpsinw_faultsim_auto_choices_total{engine="packed"}`,
-		`cpsinw_faultsim_gate_evals_total{engine="compiled"}`,
+		`cpsinw_jobs_engine_total{engine="reference"}`,
+		`cpsinw_jobs_engine_total{engine="packed"}`,
 		`cpsinw_faultsim_gate_evals_total{engine="reference"}`,
 		`cpsinw_faultsim_gate_evals_total{engine="packed"}`,
 		`cpsinw_job_duration_seconds_bucket{le="+Inf"}`,
@@ -428,15 +424,14 @@ func TestMetricsJSONFormat(t *testing.T) {
 	for _, key := range []string{
 		"queue_depth", "workers",
 		"jobs_submitted", "jobs_completed", "jobs_failed", "jobs_canceled", "jobs_rejected",
-		"jobs_engine_compiled", "jobs_engine_reference", "jobs_engine_packed",
-		"progress_events",
+		"jobs_engine_reference", "jobs_engine_packed",
+		"progress_events", "report_persist_failed",
 		"cache_hits", "cache_misses", "cache_size", "cache_hit_rate",
 		"latency_ms_p50", "latency_ms_p99", "latency_samples",
-		"faultsim_compiled_fault_runs", "faultsim_reference_fault_runs",
-		"faultsim_cone_gate_evals", "faultsim_gate_evals_skipped",
+		"faultsim_reference_fault_runs",
 		"faultsim_fault_luts_compiled", "faultsim_two_pattern_runs",
 		"faultsim_packed_fault_runs", "faultsim_packed_gate_evals",
-		"faultsim_packed_bridge_runs", "faultsim_compiled_bridge_runs",
+		"faultsim_packed_bridge_runs",
 		"faultsim_reference_gate_evals", "faultsim_reference_bridge_runs",
 	} {
 		if _, ok := metrics[key]; !ok {
@@ -483,7 +478,7 @@ func TestTraceEndpoint(t *testing.T) {
 			t.Errorf("simulate children = %+v, want stuck_at", sim.Children)
 		}
 	}
-	if tree.Attrs["engine"] != "compiled" {
+	if tree.Attrs["engine"] != "packed" {
 		t.Errorf("root attrs = %v", tree.Attrs)
 	}
 

@@ -18,12 +18,17 @@ func sameCoverage(a, b *CoverageJSON) bool {
 }
 
 // TestConcurrentMixedEngineCampaigns floods one manager with identical
-// campaigns under all three engine names at once (designed to run under
+// campaigns under both engine names at once (designed to run under
 // -race in CI). It pins down:
 //
 //   - per-engine cache identity: every submission of one engine maps to
-//     the same content address, and the three engines never share one;
-//   - cache effectiveness: far fewer executions than submissions;
+//     the same content address, and the two engines never share one;
+//   - cache effectiveness: far fewer executions than submissions. Every
+//     submitter floods once and, after its job finished, submits the
+//     same campaign again: the second round must be answered from the
+//     cache whatever the first round's interleaving was (a fast engine
+//     can finish after the whole first round was accepted, so the first
+//     round alone guarantees no hit);
 //   - counter integrity: the per-engine job counters account exactly
 //     for the executed (non-cache-hit) jobs, with no interleaving lost
 //     updates, and every job reaches a terminal done state with
@@ -32,7 +37,7 @@ func TestConcurrentMixedEngineCampaigns(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 4, QueueDepth: 256, JobTimeout: time.Minute})
 	defer m.Close()
 
-	engines := []string{"reference", "compiled", "packed"}
+	engines := []string{"reference", "packed"}
 	const perEngine = 20
 	req := func(engine string) CampaignRequest {
 		return CampaignRequest{
@@ -51,11 +56,11 @@ func TestConcurrentMixedEngineCampaigns(t *testing.T) {
 			wg.Add(1)
 			go func(engine string) {
 				defer wg.Done()
-				for {
+				for round := 0; round < 2; round++ {
 					job, err := m.Submit(req(engine))
-					if err == ErrQueueFull {
+					for err == ErrQueueFull {
 						time.Sleep(time.Millisecond)
-						continue
+						job, err = m.Submit(req(engine))
 					}
 					if err != nil {
 						t.Errorf("%s: submit: %v", engine, err)
@@ -68,7 +73,13 @@ func TestConcurrentMixedEngineCampaigns(t *testing.T) {
 					}
 					keySet[engine] = job.Key
 					mu.Unlock()
-					return
+					for deadline := time.Now().Add(time.Minute); round == 0 && !job.Status().State.Terminal(); {
+						if time.Now().After(deadline) {
+							t.Errorf("%s: job %s stuck in %s", engine, job.ID, job.Status().State)
+							return
+						}
+						time.Sleep(time.Millisecond)
+					}
 				}
 			}(engine)
 		}
@@ -105,9 +116,9 @@ func TestConcurrentMixedEngineCampaigns(t *testing.T) {
 			}
 		}
 	}
-	// The three engines must agree on coverage (bit-identical results)
-	// while living under distinct content addresses.
-	if keySet["compiled"] == keySet["reference"] || keySet["compiled"] == keySet["packed"] || keySet["reference"] == keySet["packed"] {
+	// The engines must agree on coverage (bit-identical results) while
+	// living under distinct content addresses.
+	if keySet["reference"] == keySet["packed"] {
 		t.Errorf("engines share a cache key: %v", keySet)
 	}
 	for _, engine := range engines[1:] {
@@ -118,23 +129,23 @@ func TestConcurrentMixedEngineCampaigns(t *testing.T) {
 
 	met := m.Metrics()
 	executed := met.Completed.Value()
-	perEngineSum := met.CompiledJobs.Value() + met.ReferenceJobs.Value() + met.PackedJobs.Value()
+	perEngineSum := met.ReferenceJobs.Value() + met.PackedJobs.Value()
 	if perEngineSum != executed {
-		t.Errorf("per-engine counters interleaved: compiled %d + reference %d + packed %d = %d, executed %d",
-			met.CompiledJobs.Value(), met.ReferenceJobs.Value(), met.PackedJobs.Value(), perEngineSum, executed)
+		t.Errorf("per-engine counters interleaved: reference %d + packed %d = %d, executed %d",
+			met.ReferenceJobs.Value(), met.PackedJobs.Value(), perEngineSum, executed)
 	}
-	if met.CompiledJobs.Value() < 1 || met.ReferenceJobs.Value() < 1 || met.PackedJobs.Value() < 1 {
-		t.Errorf("an engine never executed: %d/%d/%d",
-			met.CompiledJobs.Value(), met.ReferenceJobs.Value(), met.PackedJobs.Value())
+	if met.ReferenceJobs.Value() < 1 || met.PackedJobs.Value() < 1 {
+		t.Errorf("an engine never executed: %d/%d", met.ReferenceJobs.Value(), met.PackedJobs.Value())
 	}
-	if met.Submitted.Value() != int64(3*perEngine) {
-		t.Errorf("submitted %d, want %d", met.Submitted.Value(), 3*perEngine)
+	submitted := 2 * len(engines) * perEngine
+	if met.Submitted.Value() != int64(submitted) {
+		t.Errorf("submitted %d, want %d", met.Submitted.Value(), submitted)
 	}
 	hits, misses, _ := m.Cache().Stats()
-	if hits+misses != 3*perEngine {
-		t.Errorf("cache saw %d lookups, want %d", hits+misses, 3*perEngine)
+	if hits+misses != uint64(submitted) {
+		t.Errorf("cache saw %d lookups, want %d", hits+misses, submitted)
 	}
-	if hits == 0 {
-		t.Error("no cache hit across 20 identical submissions per engine")
+	if hits < uint64(submitted/2) {
+		t.Errorf("%d cache hits, want every second-round submission (%d) answered from the cache", hits, submitted/2)
 	}
 }

@@ -73,7 +73,7 @@ grep -q '^cpsinw_jobs_completed_total 1$' "$workdir/metrics.txt" || {
     grep cpsinw_jobs "$workdir/metrics.txt" >&2 || true
     exit 1
 }
-grep -q 'cpsinw_faultsim_gate_evals_total{engine="compiled"}' "$workdir/metrics.txt" || {
+grep -q 'cpsinw_faultsim_gate_evals_total{engine="packed"}' "$workdir/metrics.txt" || {
     echo "per-engine gate-eval counter missing" >&2
     exit 1
 }

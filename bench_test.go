@@ -370,27 +370,33 @@ func reportGateEvals(b *testing.B, engine faultsim.Engine, evals0 uint64) {
 // few patterns, a near-degenerate fault count, and a two-pattern
 // stuck-open campaign over channel-break faults (the packed engine
 // measured 1.5-2.8x faster than the retired scalar cone engine on all
-// four). The packed engine must return detections bit-identical to
+// four). The "-sa" row is the campaign benchmark's stuck-at sweep: the
+// whole mult16 line-fault universe (5984 faults) x 64 patterns. The
+// packed engine must return detections bit-identical to
 // the reference oracle on every row. Dated results live in BENCH_faultsim.json ("scaling" entries).
-// -short keeps only the ~100-gate row (the CI bench-smoke budget):
+// -short keeps only the ~100-gate row and the stuck-at row (the CI
+// bench-smoke budget):
 //
 //	go test -bench=BenchmarkFaultSimScaling -benchtime=3x
 func BenchmarkFaultSimScaling(b *testing.B) {
 	rows := []struct {
 		name, circuit    string
-		faults, patterns int // patterns counts pairs on two-pattern rows
+		faults, patterns int // faults 0 = the whole universe; patterns counts pairs on two-pattern rows
 		twoPattern       bool
+		stuckAt          bool
+		short            bool // kept under -short
 	}{
-		{"mult5", "mult5", 64, 64, false},
-		{"mult16", "mult16", 64, 64, false},
-		{"mult50", "mult50", 64, 64, false},
-		{"mult50-64x16", "mult50", 64, 16, false},
-		{"mult16-200x16", "mult16", 200, 16, false},
-		{"mult16-3x64", "mult16", 3, 64, false},
-		{"mult16-pairs-64x16", "mult16", 64, 16, true},
+		{"mult5", "mult5", 64, 64, false, false, true},
+		{"mult16", "mult16", 64, 64, false, false, false},
+		{"mult50", "mult50", 64, 64, false, false, false},
+		{"mult50-64x16", "mult50", 64, 16, false, false, false},
+		{"mult16-200x16", "mult16", 200, 16, false, false, false},
+		{"mult16-3x64", "mult16", 3, 64, false, false, false},
+		{"mult16-pairs-64x16", "mult16", 64, 16, true, false, false},
+		{"mult16-sa", "mult16", 0, 64, false, true, true},
 	}
 	for _, row := range rows {
-		if testing.Short() && row.name != "mult5" {
+		if testing.Short() && !row.short {
 			continue
 		}
 		c, err := bench.Get(row.circuit)
@@ -398,14 +404,17 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		uopt := core.UniverseOptions{ChannelBreak: true, StuckOn: true, Polarity: true}
-		if row.twoPattern {
+		switch {
+		case row.twoPattern:
 			uopt = core.UniverseOptions{ChannelBreak: true}
+		case row.stuckAt:
+			uopt = core.ClassicalOnly()
 		}
 		all := core.Universe(c, uopt)
 		// Deterministic stride sample: same faults every run, spread
 		// across the whole circuit rather than clustered at its inputs.
 		faults := all
-		if len(all) > row.faults {
+		if row.faults > 0 && len(all) > row.faults {
 			faults = make([]core.Fault, 0, row.faults)
 			for i := 0; i < row.faults; i++ {
 				faults = append(faults, all[i*len(all)/row.faults])
@@ -434,9 +443,12 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var ds []faultsim.Detection
 					var err error
-					if row.twoPattern {
+					switch {
+					case row.twoPattern:
 						ds, err = sim.RunTwoPattern(faults, pairs)
-					} else {
+					case row.stuckAt:
+						ds = sim.RunStuckAt(faults, patterns)
+					default:
 						ds, err = sim.RunTransistor(faults, patterns, true)
 					}
 					if err != nil {

@@ -271,6 +271,61 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestStoreCacheBounded: Put and Get keep at most cacheSize
+// dictionaries in memory. A Get right after its Put is a memory hit,
+// and every Get of an evicted key still returns the stored dictionary,
+// re-read from disk.
+func TestStoreCacheBounded(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 3 * cacheSize
+	put := make([]*Dictionary, n)
+	for i := range put {
+		d := testDictionary(50 + i)
+		d.Meta.Key = fmt.Sprintf("%064x", i+1)
+		if _, _, err := st.Put(d); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.recent) > cacheSize {
+			t.Fatalf("after %d puts the cache holds %d, bound %d", i+1, len(st.recent), cacheSize)
+		}
+		if got, err := st.Get(d.Meta.Key); err != nil || got != d {
+			t.Fatalf("Get right after Put(%d) missed the cache: %v", i, err)
+		}
+		put[i] = d
+	}
+	for round := 0; round < 2; round++ {
+		for i, want := range put {
+			got, err := st.Get(want.Meta.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got == want {
+				t.Fatalf("round %d: Get(%d) returned the evicted Put pointer, not a dictionary read from disk", round, i)
+			}
+			if got.Meta.Key != want.Meta.Key || got.Meta.Patterns != want.Meta.Patterns || len(got.Entries) != len(want.Entries) {
+				t.Fatalf("Get(%d) = %+v, want %+v", i, got.Meta, want.Meta)
+			}
+			for k := range want.Entries {
+				if got.Entries[k].Fault != want.Entries[k].Fault || !got.Entries[k].Out.Equal(want.Entries[k].Out) ||
+					!got.Entries[k].Leak.Equal(want.Entries[k].Leak) {
+					t.Fatalf("Get(%d): entry %d differs", i, k)
+				}
+			}
+			if len(st.recent) > cacheSize {
+				t.Fatalf("cache holds %d, bound %d", len(st.recent), cacheSize)
+			}
+			// An immediate repeat is a hit: the same dictionary.
+			again, err := st.Get(want.Meta.Key)
+			if err != nil || again != got {
+				t.Fatalf("repeat Get(%d) missed the cache: %v", i, err)
+			}
+		}
+	}
+}
+
 func TestStoreRejectsBadKeys(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {

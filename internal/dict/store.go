@@ -7,14 +7,22 @@ import (
 	"sync"
 )
 
+// cacheSize bounds the dictionaries a Store keeps in memory. A mult16
+// dictionary is tens of megabytes decoded and a durable server writes
+// one per campaign, so only the few most recently stored or loaded
+// dictionaries stay resident: diagnosing a campaign right after it
+// finished is a memory hit, anything older reads the artifact from disk.
+const cacheSize = 4
+
 // Store is a content-addressed artifact directory: one <key>.cpd file
 // per campaign, where the key is the campaign's canonical SHA-256 hex
-// key. Loads are cached; puts are atomic (tmp + rename) so a crashed
-// writer never leaves a half-written artifact behind.
+// key. Puts and loads pass through a small LRU; puts are atomic
+// (tmp + rename) so a crashed writer never leaves a half-written
+// artifact behind.
 type Store struct {
-	dir   string
-	mu    sync.Mutex
-	cache map[string]*Dictionary
+	dir    string
+	mu     sync.Mutex
+	recent []*Dictionary // most recently used first, at most cacheSize
 }
 
 // ArtifactExt is the artifact file suffix.
@@ -28,7 +36,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, cache: map[string]*Dictionary{}}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir reports the backing directory.
@@ -87,7 +95,7 @@ func (s *Store) Put(d *Dictionary) (string, int64, error) {
 		return "", 0, err
 	}
 	s.mu.Lock()
-	s.cache[d.Meta.Key] = d
+	s.rememberLocked(d)
 	s.mu.Unlock()
 	return dst, int64(len(raw)), nil
 }
@@ -99,9 +107,12 @@ func (s *Store) Get(key string) (*Dictionary, error) {
 		return nil, fmt.Errorf("dict: invalid artifact key %q", key)
 	}
 	s.mu.Lock()
-	if d, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		return d, nil
+	for _, d := range s.recent {
+		if d.Meta.Key == key {
+			s.rememberLocked(d)
+			s.mu.Unlock()
+			return d, nil
+		}
 	}
 	s.mu.Unlock()
 	raw, err := os.ReadFile(s.path(key))
@@ -116,9 +127,23 @@ func (s *Store) Get(key string) (*Dictionary, error) {
 		return nil, fmt.Errorf("dict: artifact %s carries key %q", key, d.Meta.Key)
 	}
 	s.mu.Lock()
-	s.cache[key] = d
+	s.rememberLocked(d)
 	s.mu.Unlock()
 	return d, nil
+}
+
+// rememberLocked makes d the most recently used dictionary, replacing
+// any older one under its key and dropping the least recently used
+// beyond cacheSize. The caller holds s.mu.
+func (s *Store) rememberLocked(d *Dictionary) {
+	next := make([]*Dictionary, 1, cacheSize)
+	next[0] = d
+	for _, o := range s.recent {
+		if o.Meta.Key != d.Meta.Key && len(next) < cacheSize {
+			next = append(next, o)
+		}
+	}
+	s.recent = next
 }
 
 // Stat reports whether an artifact exists for key and its size on disk,

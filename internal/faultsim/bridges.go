@@ -398,7 +398,7 @@ func exciteMaskPacked(pb *packedBase, e *bridgeEnds, lut *bridgeLUT) uint64 {
 func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
 	sink := s.progressSink("bridges", len(bridges))
 	cc := s.compiled()
-	bases := s.packedBaselines(patterns, 1)
+	bases := s.packedBaselines(patterns, 1, false)
 	vals := make([]logic.PackedVec, cc.NumNets())
 	prev := make([]logic.PackedVec, cc.NumNets())
 	outPO := make([]logic.PackedVec, len(cc.OutputID))

@@ -63,7 +63,7 @@ type EngineStats struct {
 	PackedFaultRuns     uint64 // fault x campaign units through the packed engine
 	PackedGateEvals     uint64 // packed gate evaluations (each covers up to 64 lanes)
 	PackedBridgeRuns    uint64 // bridge x campaign units through the packed engine
-	ReferenceGateEvals  uint64 // hooked-map gate evaluations by the reference oracle
+	ReferenceGateEvals  uint64 // gate evaluations by the reference oracles (hooked-map; 64-pattern packed for stuck-at)
 	ReferenceBridgeRuns uint64 // bridge x campaign units through the reference oracle
 }
 

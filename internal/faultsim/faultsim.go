@@ -1,10 +1,12 @@
 // Package faultsim provides the fault simulation engines of the
-// reproduction: 64-way parallel-pattern simulation for classical line
-// stuck-at faults, bit-parallel ternary simulation with behaviour-table
-// injection for the CP transistor faults (channel break, stuck-on and the
-// paper's stuck-at n-type / p-type polarity faults), IDDQ observability,
-// and sequence-aware two-pattern simulation for stuck-open testing, with
-// a serial switch-level engine kept as the differential oracle.
+// reproduction: one bit-parallel, event-driven packed kernel for
+// classical line stuck-at faults (binary lanes, forced site planes) and
+// for the CP transistor faults (ternary lanes, behaviour-table
+// injection for channel break, stuck-on and the paper's stuck-at n-type
+// / p-type polarity faults), IDDQ observability, and sequence-aware
+// two-pattern simulation for stuck-open testing, with full
+// re-simulation (stuck-at) and a serial switch-level engine
+// (transistor faults) kept as the differential oracles.
 package faultsim
 
 import (
@@ -18,7 +20,7 @@ import (
 )
 
 // Pattern assigns a logic value to every primary input (missing inputs
-// default to X in ternary simulation, 0 in packed simulation).
+// default to X in ternary simulation, 0 in stuck-at simulation).
 type Pattern map[string]logic.V
 
 // DetectMethod records how a fault was caught.
@@ -45,8 +47,9 @@ func (d Detection) Detected() bool { return d.Method != ByNone }
 type Simulator struct {
 	C *logic.Circuit
 
-	// Engine selects the transistor-fault and bridge implementation; the
-	// zero value is the packed engine, EngineReference the serial oracle.
+	// Engine selects the stuck-at, transistor-fault and bridge
+	// implementation; the zero value is the packed engine,
+	// EngineReference the oracles.
 	Engine Engine
 
 	// LaneWords, when 1, 2 or 4, pins the packed engine's lane-block
@@ -145,83 +148,100 @@ func evalStuckAtPacked(cc *logic.CompiledCircuit, in []logic.PackedVec, f core.F
 	}
 }
 
-// RunStuckAt fault-simulates line stuck-at faults against the pattern set
-// using 64-way parallel-pattern packed simulation. Non-line faults in the
-// list are returned undetected.
+// RunStuckAt fault-simulates line stuck-at faults against the pattern
+// set. Missing and X inputs simulate as 0 (the faults are binary line
+// faults; ATPG hands in partial PODEM patterns on purpose). Non-line
+// faults in the list are returned undetected. The simulator's Engine
+// selects the implementation: the packed event-driven kernel by
+// default, full-circuit re-simulation per fault under EngineReference;
+// both return identical detections and signatures.
 func (s *Simulator) RunStuckAt(faults []core.Fault, patterns []Pattern) []Detection {
 	out, _ := s.RunStuckAtContext(context.Background(), faults, patterns)
 	return out
 }
 
 // RunStuckAtContext is RunStuckAt with cooperative cancellation checked
-// once per 64-pattern chunk; on cancellation the detections so far are
-// returned with the context's error. Progress is reported per chunk
-// (the sweep is pattern-outer, so Done counts patterns).
+// between faults (and between fault-packed batches); on cancellation it
+// returns the context's error. Progress is reported per fault on the
+// "stuck_at" stage, non-line faults counting as Dropped.
 func (s *Simulator) RunStuckAtContext(ctx context.Context, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
-	out := make([]Detection, len(faults))
-	dropped := 0
-	for i, f := range faults {
-		out[i] = Detection{Fault: f, Pattern: -1}
-		if !f.Kind.IsLineFault() {
-			dropped++
-		}
+	if s.Engine == EngineReference {
+		return s.runStuckAtReference(ctx, faults, patterns)
 	}
+	return s.runPacked(ctx, s.stuckAtClass(), faults, patterns)
+}
+
+// runStuckAtReference is the stuck-at oracle: every line fault
+// re-simulates the whole circuit (evalStuckAtPacked) once per 64-pattern
+// chunk until its first detecting chunk, or over every chunk while
+// capturing signatures.
+func (s *Simulator) runStuckAtReference(ctx context.Context, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
 	sig := s.Signatures
 	if sig != nil {
 		if err := sig.check(len(faults), len(patterns)); err != nil {
 			return nil, err
 		}
 	}
-	sink := s.progressSink("stuck_at", len(patterns))
+	sink := s.progressSink("stuck_at", len(faults))
 	cc := s.compiled()
 	nGates := uint64(len(s.C.Gates))
-	good := make([]logic.PackedVec, cc.NumNets())
-	faulty := make([]logic.PackedVec, cc.NumNets())
+	type chunk struct {
+		in, good []logic.PackedVec
+		valid    uint64
+	}
+	var chunks []chunk
 	for base := 0; base < len(patterns); base += 64 {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		chunk := patterns[base:min(base+64, len(patterns))]
-		in := s.packBinaryChunk(chunk)
+		ch := patterns[base:min(base+64, len(patterns))]
+		in := s.packBinaryChunk(ch)
 		valid := ^uint64(0)
-		if len(chunk) < 64 {
-			valid = (1 << uint(len(chunk))) - 1
+		if len(ch) < 64 {
+			valid = (1 << uint(len(ch))) - 1
 		}
-		cc.EvalPacked(in, good)
-		chunkEvals := nGates // the good-circuit packed evaluation
-		chunkDetected := 0
-		for i := range out {
-			if !out[i].Fault.Kind.IsLineFault() {
-				continue
-			}
-			if out[i].Detected() && sig == nil {
-				continue // fault dropping: off while capturing signatures
-			}
-			f := out[i].Fault
-			force := logic.ConstPacked(logic.L0)
-			if f.Kind == core.FaultSA1 {
-				force = logic.ConstPacked(logic.L1)
-			}
-			evalStuckAtPacked(cc, in, f, force, faulty)
-			chunkEvals += nGates
+		chunks = append(chunks, chunk{in, cc.EvalPacked(in, make([]logic.PackedVec, cc.NumNets())), valid})
+	}
+	// Baseline (good-circuit) evals count toward campaign progress but
+	// not the per-engine faulty-evaluation counters, as in every sweep.
+	sink.add(0, 0, 0, uint64(len(chunks))*nGates)
+	out := make([]Detection, len(faults))
+	faulty := make([]logic.PackedVec, cc.NumNets())
+	for i, f := range faults {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out[i] = Detection{Fault: f, Pattern: -1}
+		if !f.Kind.IsLineFault() {
+			sink.add(1, 0, 1, 0)
+			continue
+		}
+		force := logic.ConstPacked(logic.L0)
+		if f.Kind == core.FaultSA1 {
+			force = logic.ConstPacked(logic.L1)
+		}
+		evals := uint64(0)
+		for ci, ch := range chunks {
+			evalStuckAtPacked(cc, ch.in, f, force, faulty)
+			evals += nGates
 			var diff uint64
 			for _, po := range cc.OutputID {
-				diff |= logic.DefiniteDiffMask(good[po], faulty[po]) & valid
+				diff |= logic.DefiniteDiffMask(ch.good[po], faulty[po]) & ch.valid
 			}
-			if diff != 0 {
-				if sig != nil {
-					sig.orOutWord(i, base, diff)
-				}
-				if !out[i].Detected() {
-					out[i].Method = ByOutput
-					out[i].Pattern = base + logic.FirstLane(diff)
-					chunkDetected++
-				}
+			if diff == 0 {
+				continue
+			}
+			if sig != nil {
+				sig.orOutWord(i, 64*ci, diff)
+			}
+			if !out[i].Detected() {
+				out[i].Method = ByOutput
+				out[i].Pattern = 64*ci + logic.FirstLane(diff)
+			}
+			if sig == nil {
+				break // fault dropping: off while capturing signatures
 			}
 		}
-		// Dropped (non-line) faults are reported once, with the first chunk.
-		sink.add(len(chunk), chunkDetected, dropped, chunkEvals)
-		dropped = 0
+		engineStats.referenceFaultRuns.Add(1)
+		engineStats.referenceGateEvals.Add(evals)
+		sink.add(1, b2i(out[i].Detected()), 0, evals)
 	}
 	return out, nil
 }
@@ -282,7 +302,7 @@ func (s *Simulator) RunTransistor(faults []core.Fault, patterns []Pattern, useID
 	if s.Engine == EngineReference {
 		return s.runTransistorSerial(context.Background(), faults, patterns, useIDDQ)
 	}
-	return s.runTransistorPacked(context.Background(), faults, patterns, useIDDQ)
+	return s.runPacked(context.Background(), s.transistorClass(useIDDQ), faults, patterns)
 }
 
 // outputsDiffer reports a definite PO mismatch (X never counts).

@@ -1,12 +1,13 @@
 // Packed PPSFP engine: N×64 ternary patterns per lane block (two
 // bitplane words per 64 lanes), evaluated through the compiled gate
-// LUTs and the per-fault behaviour LUTs. Baselines are packed once per
-// campaign; each fault then needs one packed behaviour-LUT evaluation
-// plus one event-driven packed propagation per block, instead of one
-// circuit pass per pattern. When the campaign has fewer patterns than
-// lanes, independent faults are packed into the spare lanes and share
-// a single propagation pass. Defined to be bit-identical to the
-// reference engine (same detection method, same first detecting
+// LUTs. Baselines are packed once per campaign; each fault then needs
+// one seeding step (a per-fault behaviour-LUT evaluation for transistor
+// faults, a forced stem or pin for line stuck-at faults) plus one
+// event-driven packed propagation per block, instead of one circuit
+// pass per pattern. When the campaign has fewer patterns than lanes,
+// independent faults are packed into the spare lanes and share a
+// single propagation pass. Defined to be bit-identical to the
+// reference engines (same detection method, same first detecting
 // pattern), which the differential suites enforce.
 package faultsim
 
@@ -38,8 +39,10 @@ type packedBase struct {
 // the whole pattern list `copies` times across consecutive lane groups
 // (copies > 1 builds the shared baseline of a fault-packed batch).
 // Inputs missing from a pattern are X, matching the reference map-based
-// evaluation; lanes beyond the replicated patterns stay X.
-func (s *Simulator) packTernaryBlock(patterns []Pattern, w, copies int) []logic.PackedVec {
+// evaluation; binary blocks pack every value but 1 (missing and X
+// included) as known-0, the semantics of packBinaryChunk. Lanes beyond
+// the replicated patterns stay X.
+func (s *Simulator) packTernaryBlock(patterns []Pattern, w, copies int, binary bool) []logic.PackedVec {
 	in := make([]logic.PackedVec, len(s.C.Inputs)*w)
 	for g := 0; g < copies; g++ {
 		off := g * len(patterns)
@@ -47,7 +50,10 @@ func (s *Simulator) packTernaryBlock(patterns []Pattern, w, copies int) []logic.
 			lane := off + k
 			for i, pi := range s.C.Inputs {
 				v, ok := p[pi]
-				if !ok {
+				switch {
+				case binary && v != logic.L1:
+					v = logic.L0
+				case !ok:
 					v = logic.LX
 				}
 				in[i*w+lane>>6] = in[i*w+lane>>6].WithLane(lane&63, v)
@@ -69,7 +75,7 @@ func laneMask(from, n, w int) []uint64 {
 // packedBaselines memoizes the good-circuit planes per 64w-pattern
 // chunk. All chunk planes share one backing array (one allocation to
 // scan instead of one per chunk).
-func (s *Simulator) packedBaselines(patterns []Pattern, w int) []packedBase {
+func (s *Simulator) packedBaselines(patterns []Pattern, w int, binary bool) []packedBase {
 	cc := s.compiled()
 	lanes := 64 * w
 	nChunks := (len(patterns) + lanes - 1) / lanes
@@ -82,7 +88,7 @@ func (s *Simulator) packedBaselines(patterns []Pattern, w int) []packedBase {
 			start: base,
 			w:     w,
 			valid: laneMask(0, len(chunk), w),
-			in:    s.packTernaryBlock(chunk, w, 1),
+			in:    s.packTernaryBlock(chunk, w, 1, binary),
 		}
 		pb.vals = cc.EvalBlock(pb.in, w, backing[:stride:stride])
 		backing = backing[stride:]
@@ -105,14 +111,14 @@ type packedGroupBase struct {
 }
 
 // packedGroupedBase evaluates the replicated baseline once.
-func (s *Simulator) packedGroupedBase(patterns []Pattern, w, groups int) *packedGroupBase {
+func (s *Simulator) packedGroupedBase(patterns []Pattern, w, groups int, binary bool) *packedGroupBase {
 	cc := s.compiled()
 	gb := &packedGroupBase{
 		w:      w,
 		span:   len(patterns),
 		groups: groups,
 		masks:  make([][]uint64, groups),
-		in:     s.packTernaryBlock(patterns, w, groups),
+		in:     s.packTernaryBlock(patterns, w, groups, binary),
 	}
 	for g := 0; g < groups; g++ {
 		gb.masks[g] = laneMask(g*len(patterns), len(patterns), w)
@@ -170,22 +176,69 @@ type packedPlan struct {
 }
 
 // packedPlanFor sizes the lane blocks and fault-packing of a campaign
-// and evaluates the matching baselines.
-func (s *Simulator) packedPlanFor(faults []core.Fault, patterns []Pattern) packedPlan {
+// over the class's simulable faults and evaluates the matching
+// baselines.
+func (s *Simulator) packedPlanFor(cl *faultClass, faults []core.Fault, patterns []Pattern) packedPlan {
 	sim := 0
 	for _, f := range faults {
-		if transistorSimulable(f) {
+		if cl.simulable(f) {
 			sim++
 		}
 	}
 	w := s.laneWordsFor(len(patterns), sim)
 	pl := packedPlan{w: w, groups: packGroups(len(patterns), sim, w)}
 	if pl.groups > 1 {
-		pl.gb = s.packedGroupedBase(patterns, w, pl.groups)
+		pl.gb = s.packedGroupedBase(patterns, w, pl.groups, cl.binary)
 	} else {
-		pl.bases = s.packedBaselines(patterns, w)
+		pl.bases = s.packedBaselines(patterns, w, cl.binary)
 	}
 	return pl
+}
+
+// faultClass is what one fault class contributes to the packed sweep:
+// which faults of a campaign list it simulates (the rest count as
+// Dropped), how its baselines pack, and its seeding step. Plans, fault
+// packing, propagation, signature capture and progress are shared by
+// every class.
+type faultClass struct {
+	stage     string // progress stage name
+	simulable func(core.Fault) bool
+	binary    bool // baselines pack missing and X inputs as known-0
+	// seed fills sd with fault f's site plane over the baseline block
+	// base, restricted to the lanes of mask (see seedChunk for the
+	// fields it must set).
+	seed func(sc *packedScratch, sd *packedSeed, f core.Fault, mask []uint64, patOff int, base []logic.PackedVec) error
+}
+
+// transistorClass seeds a transistor fault from its per-fault behaviour
+// LUT; IDDQ leak lanes are recorded only when useIDDQ is set.
+func (s *Simulator) transistorClass(useIDDQ bool) *faultClass {
+	return &faultClass{
+		stage:     "transistor",
+		simulable: transistorSimulable,
+		seed: func(sc *packedScratch, sd *packedSeed, f core.Fault, mask []uint64, patOff int, base []logic.PackedVec) error {
+			gi, lut, err := s.resolvePackedFault(f, sc)
+			if err != nil {
+				return err
+			}
+			sc.seedChunk(sd, gi, lut, mask, patOff, base, useIDDQ)
+			return nil
+		},
+	}
+}
+
+// stuckAtClass seeds a line stuck-at fault over binary baselines (the
+// packed stuck-at semantics: a missing or X input is known-0).
+func (s *Simulator) stuckAtClass() *faultClass {
+	return &faultClass{
+		stage:     "stuck_at",
+		simulable: func(f core.Fault) bool { return f.Kind.IsLineFault() },
+		binary:    true,
+		seed: func(sc *packedScratch, sd *packedSeed, f core.Fault, mask []uint64, patOff int, base []logic.PackedVec) error {
+			sc.seedStuckAt(s.C, sd, f, mask, patOff, base)
+			return nil
+		},
+	}
 }
 
 // baseEvals counts the baseline word evaluations of the plan, reported
@@ -542,11 +595,70 @@ func (sc *packedScratch) seedChunk(sd *packedSeed, gi int, lut *faultLUT, mask [
 		if useIDDQ {
 			sd.leak[j] = leak & m
 		}
-		exc[j] = ((fo.Val ^ b.Val) | (fo.Known ^ b.Known)) & m
-		sd.fout[j] = logic.PackedVec{
-			Val:   b.Val&^m | fo.Val&m,
-			Known: b.Known&^m | fo.Known&m,
+		exc[j] = sd.setSite(j, m, b, fo)
+	}
+	sd.floor = logic.FirstLaneBlock(exc[:w])
+	sd.live = sd.floor < w<<6
+}
+
+// setSite blends word j of the seed's site plane (baseline b outside
+// the lanes of m, the faulty plane fo within) and returns the excited
+// lanes, where the two differ.
+func (sd *packedSeed) setSite(j int, m uint64, b, fo logic.PackedVec) uint64 {
+	sd.fout[j] = logic.PackedVec{
+		Val:   b.Val&^m | fo.Val&m,
+		Known: b.Known&^m | fo.Known&m,
+	}
+	return ((fo.Val ^ b.Val) | (fo.Known ^ b.Known)) & m
+}
+
+// seedStuckAt is seedChunk for a line stuck-at fault. A stem fault's
+// site is the stem net itself, forced to the stuck value, with the
+// net's driving gate as the faulted gate (-1 for a primary input, which
+// no walk re-evaluates). A branch fault's site is the output of the
+// reading gate, evaluated with the faulted pin forced. A fault naming a
+// net, gate or pin the circuit lacks never deviates, as in
+// evalStuckAtPacked. Stuck-at faults have no IDDQ signature.
+func (sc *packedScratch) seedStuckAt(c *logic.Circuit, sd *packedSeed, f core.Fault, mask []uint64, patOff int, base []logic.PackedVec) {
+	cc, w := sc.cc, sc.w
+	force := logic.ConstPacked(logic.L0)
+	if f.Kind == core.FaultSA1 {
+		force = logic.ConstPacked(logic.L1)
+	}
+	gi, on := -1, -1
+	if f.Pin < 0 {
+		if d, ok := c.Driver(f.Net); ok {
+			gi, on = d, cc.NetID[f.Net]
 		}
+	} else if f.GateIdx >= 0 && f.GateIdx < len(cc.Fanin) && f.Pin < len(cc.Fanin[f.GateIdx]) {
+		gi, on = f.GateIdx, cc.GateOut[f.GateIdx]
+	}
+	sd.gi, sd.onet, sd.patOff = gi, on, patOff
+	var exc [logic.MaxLaneWords]uint64
+	for j := 0; j < w; j++ {
+		m := mask[j]
+		sd.mask[j] = m
+		sd.leak[j], sd.diff[j] = 0, 0
+		if on < 0 {
+			continue
+		}
+		b := base[on*w+j]
+		if m == 0 {
+			sd.fout[j] = b
+			continue
+		}
+		fo := force
+		if f.Pin >= 0 {
+			fin := cc.Fanin[gi]
+			in := sc.inbuf[:len(fin)]
+			for k, nid := range fin {
+				in[k] = base[nid*w+j]
+			}
+			in[f.Pin] = force
+			fo = logic.EvalKindPacked(cc.Kinds[gi], cc.LUT[gi], in)
+			sc.evals++
+		}
+		exc[j] = sd.setSite(j, m, b, fo)
 	}
 	sd.floor = logic.FirstLaneBlock(exc[:w])
 	sd.live = sd.floor < w<<6
@@ -769,24 +881,17 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 	}
 }
 
-// simulateTransistorFaultPacked is the packed counterpart of
-// simulateTransistorFault: identical Detection results, one packed
-// behaviour-LUT evaluation plus one event-driven block pass per
-// chunk. A non-nil sig disables the chunk early exits and the seed
+// simulateFaultPacked sweeps one fault of class cl over the chunked
+// baselines: identical Detection results to the class's reference
+// sweep, one seeding step plus one event-driven block pass per chunk.
+// A non-nil sig disables the chunk early exits and the seed
 // early-retirement, records fault si's full signature from the
 // propagated lane masks and derives the Detection through the same
 // earliest-lane/leak-precedence resolution the uncaptured sweep uses.
-func (s *Simulator) simulateTransistorFaultPacked(f core.Fault, si int, bases []packedBase, sc *packedScratch, useIDDQ bool, sig *SignatureCapture) (Detection, error) {
+func (s *Simulator) simulateFaultPacked(cl *faultClass, f core.Fault, si int, bases []packedBase, sc *packedScratch, sig *SignatureCapture) (Detection, error) {
 	d := Detection{Fault: f, Pattern: -1}
-	if !transistorSimulable(f) {
+	if !cl.simulable(f) || len(bases) == 0 {
 		return d, nil
-	}
-	if len(bases) == 0 {
-		return d, nil
-	}
-	gi, lut, err := s.resolvePackedFault(f, sc)
-	if err != nil {
-		return d, err
 	}
 	sc.runs++
 	w := sc.w
@@ -794,7 +899,9 @@ func (s *Simulator) simulateTransistorFaultPacked(f core.Fault, si int, bases []
 	sd := &seeds[0]
 	for ci := range bases {
 		pb := &bases[ci]
-		sc.seedChunk(sd, gi, lut, pb.valid, pb.start, pb.vals, useIDDQ)
+		if err := cl.seed(sc, sd, f, pb.valid, pb.start, pb.vals); err != nil {
+			return d, err
+		}
 		if sig != nil {
 			if sd.live {
 				sc.capture = true
@@ -832,14 +939,15 @@ func (s *Simulator) simulateTransistorFaultPacked(f core.Fault, si int, bases []
 }
 
 // runPackedGrouped sweeps the faults selected by idxs with fault
-// packing: up to plan.groups simulable faults seed disjoint lane groups
-// of the replicated baseline and resolve in one shared propagation
-// pass. Faults whose leak decides at or before their excitation floor
-// resolve at seed time and never occupy a group slot. A non-nil sig
-// keeps every excited fault in its slot, propagates without seed
-// early-retirement and records each fault's full signature from its
-// group's lane masks before resolving the identical Detection.
-func (s *Simulator) runPackedGrouped(ctx context.Context, faults []core.Fault, idxs []int, gb *packedGroupBase, sc *packedScratch, useIDDQ bool, sig *SignatureCapture, sink *progressSink, out []Detection) error {
+// packing: up to plan.groups simulable faults of class cl seed disjoint
+// lane groups of the replicated baseline and resolve in one shared
+// propagation pass. Faults whose leak decides at or before their
+// excitation floor (every unexcited fault included) resolve at seed
+// time and never occupy a group slot. A non-nil sig keeps every excited
+// fault in its slot, propagates without seed early-retirement and
+// records each fault's full signature from its group's lane masks
+// before resolving the identical Detection.
+func (s *Simulator) runPackedGrouped(ctx context.Context, cl *faultClass, faults []core.Fault, idxs []int, gb *packedGroupBase, sc *packedScratch, sig *SignatureCapture, sink *progressSink, out []Detection) error {
 	w := sc.w
 	seeds := sc.seedBuf(gb.groups)[:0]
 	batchDetected := 0
@@ -873,21 +981,19 @@ func (s *Simulator) runPackedGrouped(ctx context.Context, faults []core.Fault, i
 		}
 		f := faults[i]
 		out[i] = Detection{Fault: f, Pattern: -1}
-		if !transistorSimulable(f) {
+		if !cl.simulable(f) {
 			sink.add(1, 0, 1, 0)
 			continue
 		}
-		gi, lut, err := s.resolvePackedFault(f, sc)
-		if err != nil {
-			return err
-		}
-		sc.runs++
 		g := len(seeds)
 		seeds = seeds[:g+1]
 		sd := &seeds[g]
 		sd.out = i
 		before := sc.lifetimeEvals()
-		sc.seedChunk(sd, gi, lut, gb.masks[g], -g*gb.span, gb.vals, useIDDQ)
+		if err := cl.seed(sc, sd, f, gb.masks[g], -g*gb.span, gb.vals); err != nil {
+			return err
+		}
+		sc.runs++
 		if sig != nil {
 			if !sd.live {
 				// No excited lane: the signature is leak-only and the
@@ -925,16 +1031,17 @@ func (s *Simulator) runPackedGrouped(ctx context.Context, faults []core.Fault, i
 	return nil
 }
 
-// runTransistorPacked is the serial packed campaign driver.
-func (s *Simulator) runTransistorPacked(ctx context.Context, faults []core.Fault, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
-	sink := s.progressSink("transistor", len(faults))
+// runPacked is the serial packed campaign driver of every fault class
+// but bridges and two-pattern pairs.
+func (s *Simulator) runPacked(ctx context.Context, cl *faultClass, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
+	sink := s.progressSink(cl.stage, len(faults))
 	sig := s.Signatures
 	if sig != nil {
 		if err := sig.check(len(faults), len(patterns)); err != nil {
 			return nil, err
 		}
 	}
-	pl := s.packedPlanFor(faults, patterns)
+	pl := s.packedPlanFor(cl, faults, patterns)
 	sc := s.packedScratchOf()
 	sc.ensure(pl.w)
 	defer s.putPackedScratch(sc)
@@ -945,7 +1052,7 @@ func (s *Simulator) runTransistorPacked(ctx context.Context, faults []core.Fault
 		for i := range idxs {
 			idxs[i] = i
 		}
-		if err := s.runPackedGrouped(ctx, faults, idxs, pl.gb, sc, useIDDQ, sig, sink, out); err != nil {
+		if err := s.runPackedGrouped(ctx, cl, faults, idxs, pl.gb, sc, sig, sink, out); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -955,12 +1062,12 @@ func (s *Simulator) runTransistorPacked(ctx context.Context, faults []core.Fault
 			return nil, err
 		}
 		before := sc.lifetimeEvals()
-		d, err := s.simulateTransistorFaultPacked(f, i, pl.bases, sc, useIDDQ, sig)
+		d, err := s.simulateFaultPacked(cl, f, i, pl.bases, sc, sig)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = d
-		sink.add(1, b2i(d.Detected()), b2i(!transistorSimulable(f)), sc.lifetimeEvals()-before)
+		sink.add(1, b2i(d.Detected()), b2i(!cl.simulable(f)), sc.lifetimeEvals()-before)
 	}
 	return out, nil
 }
@@ -1002,8 +1109,8 @@ func (s *Simulator) runTwoPatternPacked(ctx context.Context, faults []core.Fault
 		firsts[k], seconds[k] = pair[0], pair[1]
 	}
 	w := s.laneWordsFor(len(pairs), 1)
-	bases0 := s.packedBaselines(firsts, w)
-	bases1 := s.packedBaselines(seconds, w)
+	bases0 := s.packedBaselines(firsts, w, false)
+	bases1 := s.packedBaselines(seconds, w, false)
 	cc := s.compiled()
 	sc := s.packedScratchOf()
 	sc.ensure(w)

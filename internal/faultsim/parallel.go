@@ -169,7 +169,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 		if engine == EngineReference {
 			return s.runTransistorSerial(ctx, faults, patterns, useIDDQ)
 		}
-		return s.runTransistorPacked(ctx, faults, patterns, useIDDQ)
+		return s.runPacked(ctx, s.transistorClass(useIDDQ), faults, patterns)
 	}
 
 	// Good-circuit responses are computed once and shared read-only:
@@ -177,6 +177,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 	// packed one (each worker carries its own scratch).
 	sink := s.progressSink("transistor", len(faults))
 	var goods []map[string]logic.V
+	var cl *faultClass
 	var pl packedPlan
 	var baseEvals uint64
 	if engine == EngineReference {
@@ -186,7 +187,8 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 		}
 		baseEvals = uint64(len(patterns)) * uint64(len(s.C.Gates))
 	} else {
-		pl = s.packedPlanFor(faults, patterns)
+		cl = s.transistorClass(useIDDQ)
+		pl = s.packedPlanFor(cl, faults, patterns)
 		baseEvals = pl.baseEvals(len(s.C.Gates))
 	}
 	sink.add(0, 0, 0, baseEvals)
@@ -221,7 +223,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 				}
 				idxs := ord[r[0]:r[1]]
 				if psc != nil && pl.gb != nil {
-					if err := s.runPackedGrouped(ctx, faults, idxs, pl.gb, psc, useIDDQ, sig, sink, out); err != nil && ctx.Err() == nil {
+					if err := s.runPackedGrouped(ctx, cl, faults, idxs, pl.gb, psc, sig, sink, out); err != nil && ctx.Err() == nil {
 						fail(err)
 					}
 					continue
@@ -238,7 +240,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 						evals = s.referenceFaultEvals(faults[i], d, len(patterns), sig != nil)
 					} else {
 						before := psc.lifetimeEvals()
-						d, err = s.simulateTransistorFaultPacked(faults[i], i, pl.bases, psc, useIDDQ, sig)
+						d, err = s.simulateFaultPacked(cl, faults[i], i, pl.bases, psc, sig)
 						evals = psc.lifetimeEvals() - before
 					}
 					if err != nil {

@@ -7,11 +7,12 @@ import (
 )
 
 // Progress is a monotone snapshot of one running campaign stage. Done
-// counts completed work units (faults for transistor and bridge
-// campaigns, patterns for the chunked stuck-at sweep); Detected the
-// units that ended in a detection; Dropped the faults skipped without
-// simulation because their kind is out of scope for the stage (line
-// faults handed to a transistor campaign, analog-only kinds). GateEvals
+// counts completed faults (bridges for bridge campaigns) out of Total,
+// the length of the stage's fault list; Detected the faults that ended
+// in a detection; Dropped the faults skipped without simulation because
+// their kind is out of scope for the stage (line faults handed to a
+// transistor campaign, transistor faults handed to the stuck-at sweep,
+// analog-only kinds). GateEvals
 // counts engine-native gate evaluations attributable to the stage so
 // far — packed evaluations (each covering up to 64 pattern lanes) for
 // the packed engine, full

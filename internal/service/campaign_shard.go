@@ -114,8 +114,8 @@ func (a *shardAgg) note(stage string, idx int, p faultsim.Progress) {
 }
 
 // complete folds a finished shard's result in (live or cache-served):
-// every class slot it carries becomes fully done, detections counted
-// from the records.
+// every class slot it carries becomes fully done over the shard's
+// faults, detections counted from the records.
 func (a *shardAgg) complete(j shard.SubJob, r *shard.Result) {
 	a.mu.Lock()
 	a.done++
@@ -131,10 +131,9 @@ func (a *shardAgg) complete(j shard.SubJob, r *shard.Result) {
 				n++
 			}
 		}
-		// Normalized units: a finished slot contributes equal done and
-		// total, so the aggregate fraction still reaches 1 when every
-		// shard lands, whatever units the live engine reported.
-		ca.done[j.Index], ca.total[j.Index] = 1, 1
+		// One record per fault in the shard's range: the same units the
+		// live stage reports, so the aggregate counts faults throughout.
+		ca.done[j.Index], ca.total[j.Index] = len(cr.Dets), len(cr.Dets)
 		ca.detected[j.Index] = n
 		last = stage
 	}

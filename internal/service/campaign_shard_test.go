@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cpsinw/internal/dict"
+	"cpsinw/internal/faultsim"
 	"cpsinw/internal/resultstore"
 	"cpsinw/internal/shard"
 )
@@ -211,5 +212,27 @@ func TestShardedRejectsUnkeyedStore(t *testing.T) {
 	if _, err := RunCampaignSharded(context.Background(), c, norm,
 		ShardedOptions{Key: "not-a-key", Shards: 2, Store: store}, nil); err == nil {
 		t.Fatal("sharded run accepted a store without a canonical key")
+	}
+}
+
+// TestShardAggCountsFaults: a sharded campaign's aggregate done/total
+// count faults whether a shard is still running or has finished, so
+// three finished shards of 1000 faults and a fourth at 500 read
+// 3500/4000.
+func TestShardAggCountsFaults(t *testing.T) {
+	const shards, per = 4, 1000
+	var last JobProgress
+	agg := newShardAgg(&RunObserver{Progress: func(p JobProgress) { last = p }}, shards)
+	agg.class("stuck_at", shards*per)
+	for i := 0; i < shards-1; i++ {
+		dets := make([]shard.Det, per)
+		dets[0].Method = "output"
+		agg.complete(shard.SubJob{Index: i}, &shard.Result{StuckAt: &shard.ClassResult{Dets: dets}})
+	}
+	agg.note("stuck_at", shards-1, faultsim.Progress{Stage: "stuck_at", Done: per / 2, Total: per, Detected: 7})
+	want := JobProgress{Stage: "stuck_at", Done: 3*per + per/2, Total: shards * per, Detected: 3 + 7,
+		Faults: shards * per, Shards: shards, ShardsDone: shards - 1}
+	if last != want {
+		t.Fatalf("aggregate = %+v, want %+v", last, want)
 	}
 }

@@ -617,12 +617,15 @@ func (m *Manager) shutdown(drain bool) {
 }
 
 // shardedOptions wires one job's sharded execution to the manager's
-// store, drain signal, metrics and logger.
+// store, drain signal, metrics and logger. A campaign runs at most as
+// many shards at once as the manager has workers, so the configured
+// pool size bounds the shard fan-out too.
 func (m *Manager) shardedOptions(job *Job) ShardedOptions {
 	return ShardedOptions{
 		Key:      job.Key,
 		Shards:   job.req.Shards,
 		Store:    m.store,
+		Workers:  m.cfg.Workers,
 		Retries:  m.cfg.ShardRetries,
 		Draining: m.drain,
 		Events: shard.Events{

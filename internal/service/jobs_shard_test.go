@@ -1,7 +1,9 @@
 package service
 
 import (
+	"sort"
 	"testing"
+	"time"
 
 	"cpsinw/internal/resultstore"
 )
@@ -174,5 +176,57 @@ func TestManagerResumeRejectsNonResumable(t *testing.T) {
 	}
 	if _, err := m.Resume("c-999999"); err == nil {
 		t.Fatal("resumed a nonexistent campaign")
+	}
+}
+
+// TestManagerShardConcurrencyCapped: the manager's worker count bounds
+// a sharded campaign's shard fan-out, so on a one-worker manager the
+// shard spans of the trace never overlap.
+func TestManagerShardConcurrencyCapped(t *testing.T) {
+	m := NewManager(ManagerConfig{Workers: 1, ResultDir: t.TempDir()})
+	defer m.Close()
+	req := CampaignRequest{
+		Benchmark: "mult6",
+		Faults:    FaultConfig{StuckAt: true, Polarity: true, StuckOn: true, IDDQ: true},
+		Shards:    4,
+	}
+	j, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j); st.State != StateDone {
+		t.Fatalf("campaign finished %s: %s", st.State, st.Error)
+	}
+	tree, ok := m.Tracer().Tree(j.ID)
+	if !ok {
+		t.Fatal("no trace recorded")
+	}
+	type interval struct{ start, end time.Time }
+	var shards []interval
+	for _, stage := range tree.Children {
+		if stage.Name != "simulate" {
+			continue
+		}
+		for _, sp := range stage.Children {
+			if sp.Name != "shard" {
+				continue
+			}
+			start, err1 := time.Parse(time.RFC3339Nano, sp.Start)
+			end, err2 := time.Parse(time.RFC3339Nano, sp.End)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("shard span times %q..%q: %v %v", sp.Start, sp.End, err1, err2)
+			}
+			shards = append(shards, interval{start, end})
+		}
+	}
+	if len(shards) != 4 {
+		t.Fatalf("trace has %d shard spans, want 4", len(shards))
+	}
+	sort.Slice(shards, func(a, b int) bool { return shards[a].start.Before(shards[b].start) })
+	for i := 1; i < len(shards); i++ {
+		if shards[i].start.Before(shards[i-1].end) {
+			t.Fatalf("shards %d and %d ran at once on a one-worker manager: %v..%v overlaps %v..%v",
+				i-1, i, shards[i-1].start, shards[i-1].end, shards[i].start, shards[i].end)
+		}
 	}
 }

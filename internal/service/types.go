@@ -248,8 +248,9 @@ func (s JobState) Terminal() bool {
 
 // JobProgress is a live snapshot of a running campaign stage, carried
 // in JobStatus and streamed over /v1/campaigns/{id}/events. Done/Total
-// count the stage's work units (faults, or patterns for the chunked
-// stuck-at sweep); Faults is the stage's targeted fault universe (the
+// count the stage's work units: faults in every simulation stage
+// (bridges in the bridge sweep), generation attempts per class in the
+// atpg stage. Faults is the stage's targeted fault universe (the
 // coverage denominator); GateEvals counts engine-native gate
 // evaluations, so rates compare within an engine, not across engines.
 type JobProgress struct {

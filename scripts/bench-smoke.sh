@@ -2,10 +2,13 @@
 # bench-smoke.sh — scaling-sweep smoke test with a same-run engine
 # ratio gate.
 #
-# Runs the -short BenchmarkFaultSimScaling row (the ~100-gate mult5
-# sweep, both engines: reference and packed) and fails unless the
-# packed engine is at least 20x faster than the reference oracle on the
-# same row in the same run (measured at 300-700x). Comparing two
+# Runs the -short BenchmarkFaultSimScaling rows (the ~100-gate mult5
+# transistor sweep and the mult16-sa line stuck-at sweep, both engines:
+# reference and packed) and fails unless the packed engine beats the
+# reference oracle on the same row in the same run by the row's bar:
+# 20x on transistor rows (measured at 300-700x), 5x on stuck-at ("-sa")
+# rows, whose oracle is itself a 64-pattern packed full re-simulation
+# (measured at ~19x). Comparing two
 # engines measured by one process on one machine applies the bar
 # without trusting cross-machine ns/op, so a packed-engine slowdown of
 # an order of magnitude fails CI even on runners much slower than the
@@ -18,7 +21,7 @@ cd "$(dirname "$0")/.."
 out=$(go test -short -run '^$' -bench 'BenchmarkFaultSimScaling' -benchtime 3x -timeout 10m .)
 echo "$out"
 
-echo "== engine ratio gate (packed >= 20x faster than reference per row) =="
+echo "== engine ratio gate (packed >= 20x faster than reference per row, 5x on -sa rows) =="
 echo "$out" | awk '
     $4 == "ns/op" && $1 ~ /^BenchmarkFaultSimScaling\// {
         split($1, a, "/")
@@ -42,10 +45,11 @@ echo "$out" | awk '
             }
             packed = ns[row ",packed"]
             ref = ns[row ",reference"]
-            printf "%s: packed %.0f ns/op vs reference %.0f ns/op (%.1fx)\n", \
-                row, packed, ref, ref / packed
-            if (20 * packed > ref) {
-                printf "%s: packed is less than 20x faster than reference\n", row > "/dev/stderr"
+            bar = (row ~ /-sa$/) ? 5 : 20
+            printf "%s: packed %.0f ns/op vs reference %.0f ns/op (%.1fx, bar %dx)\n", \
+                row, packed, ref, ref / packed, bar
+            if (bar * packed > ref) {
+                printf "%s: packed is less than %dx faster than reference\n", row, bar > "/dev/stderr"
                 fail = 1
             }
         }

@@ -42,7 +42,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random pattern seed")
 	engineName := flag.String("engine", "packed", "fault-simulation engine: packed or reference")
 	list := flag.Bool("list", false, "list built-in benchmarks and exit")
-	shards := flag.Int("shards", 1, "split the campaign into k sub-jobs merged bit-identically (0: auto-size, 1: single-shot)")
+	shards := flag.Int("shards", 1, "run the service campaign path with k sub-jobs merged bit-identically (0: auto-size); 1 without -result-dir prints the direct simulation tables instead")
 	resultDir := flag.String("result-dir", "", "durable result store; completed shards are reused across runs (empty disables)")
 	flag.Parse()
 
@@ -140,9 +140,9 @@ func main() {
 	}
 }
 
-// runSharded routes the campaign through the sharded executor: fault
-// lists split into content-addressed sub-jobs whose merged results are
-// bit-identical to the single-shot run, and -result-dir reuses
+// runSharded routes the campaign through the service's campaign path:
+// fault lists split into content-addressed sub-jobs whose merged
+// results are the same for every shard count, and -result-dir reuses
 // completed shards across invocations of the same campaign.
 func runSharded(benchmark, netlist string, patterns int, seed int64, engine string, shards int, resultDir string) {
 	req := service.CampaignRequest{

@@ -2,9 +2,12 @@ package dict
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"cpsinw/internal/resultstore"
 )
 
 // cacheSize bounds the dictionaries a Store keeps in memory. A mult16
@@ -44,22 +47,10 @@ func (s *Store) Dir() string { return s.dir }
 
 // ValidKey reports whether key is a well-formed artifact key, for
 // callers that want to reject bad input before hitting the store.
-func ValidKey(key string) bool { return validKey(key) }
-
-// validKey guards against path traversal: artifact keys are exactly the
-// 64 lowercase hex digits of a SHA-256.
-func validKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
+// Artifact keys share the result store's form — exactly the 64
+// lowercase hex digits of a SHA-256 — which also guards against path
+// traversal.
+func ValidKey(key string) bool { return resultstore.ValidKey(key) }
 
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+ArtifactExt)
@@ -69,41 +60,30 @@ func (s *Store) path(key string) string {
 // path and compressed size. The write is atomic within the store
 // directory.
 func (s *Store) Put(d *Dictionary) (string, int64, error) {
-	if !validKey(d.Meta.Key) {
+	if !ValidKey(d.Meta.Key) {
 		return "", 0, fmt.Errorf("dict: invalid artifact key %q", d.Meta.Key)
 	}
 	raw, err := d.Marshal()
 	if err != nil {
 		return "", 0, err
 	}
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
+	size, err := resultstore.WriteAtomic(s.dir, d.Meta.Key+ArtifactExt, func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 	if err != nil {
-		return "", 0, err
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", 0, err
-	}
-	dst := s.path(d.Meta.Key)
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
 		return "", 0, err
 	}
 	s.mu.Lock()
 	s.rememberLocked(d)
 	s.mu.Unlock()
-	return dst, int64(len(raw)), nil
+	return s.path(d.Meta.Key), size, nil
 }
 
 // Get loads the dictionary for key, from cache or disk. os.ErrNotExist
 // surfaces (wrapped) when no artifact is stored under the key.
 func (s *Store) Get(key string) (*Dictionary, error) {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return nil, fmt.Errorf("dict: invalid artifact key %q", key)
 	}
 	s.mu.Lock()
@@ -149,7 +129,7 @@ func (s *Store) rememberLocked(d *Dictionary) {
 // Stat reports whether an artifact exists for key and its size on disk,
 // without parsing it.
 func (s *Store) Stat(key string) (int64, bool) {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return 0, false
 	}
 	fi, err := os.Stat(s.path(key))
@@ -168,7 +148,7 @@ func (s *Store) Keys() ([]string, error) {
 	keys := []string{}
 	for _, e := range ents {
 		name := e.Name()
-		if len(name) == 64+len(ArtifactExt) && filepath.Ext(name) == ArtifactExt && validKey(name[:64]) {
+		if len(name) == 64+len(ArtifactExt) && filepath.Ext(name) == ArtifactExt && ValidKey(name[:64]) {
 			keys = append(keys, name[:64])
 		}
 	}

@@ -92,6 +92,15 @@ func New(c *logic.Circuit) *Simulator {
 	return s
 }
 
+// NewCompiled builds a simulator over an already compiled circuit. A
+// CompiledCircuit is immutable, so one compilation can back any number
+// of simulators, including concurrently running ones.
+func NewCompiled(cc *logic.CompiledCircuit) *Simulator {
+	s := New(cc.C)
+	s.ccOnce.Do(func() { s.cc = cc })
+	return s
+}
+
 // packBinaryChunk packs up to 64 patterns into binary input planes over
 // the compiled input order: missing or X inputs pack as 0 (the
 // historical packed stuck-at semantics), and every lane is fully known,

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"cpsinw/internal/bench"
@@ -124,4 +126,44 @@ func randomTestPatterns(c *logic.Circuit, n int) []Pattern {
 		out[k] = p
 	}
 	return out
+}
+
+// TestNewCompiledSharedAcrossSimulators: simulators built over one
+// compiled circuit run concurrently (race-clean under -race) and return
+// exactly what a simulator compiling its own copy returns.
+func TestNewCompiledSharedAcrossSimulators(t *testing.T) {
+	c := bench.RippleCarryAdder(4)
+	pats := randomTestPatterns(c, 48)
+	sa := core.Universe(c, core.ClassicalOnly())
+	tr := core.Universe(c, core.UniverseOptions{ChannelBreak: true, Polarity: true, StuckOn: true})
+	run := func(sim *Simulator) ([]Detection, []Detection) {
+		saDs, err := sim.RunStuckAtContext(context.Background(), sa, pats)
+		if err != nil {
+			t.Error(err)
+		}
+		trDs, err := sim.RunTransistorParallel(context.Background(), tr, pats, true, 1)
+		if err != nil {
+			t.Error(err)
+		}
+		return saDs, trDs
+	}
+	wantSA, wantTR := run(New(c))
+
+	cc := c.Compile()
+	const sims = 4
+	gotSA, gotTR := make([][]Detection, sims), make([][]Detection, sims)
+	var wg sync.WaitGroup
+	for i := 0; i < sims; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			gotSA[i], gotTR[i] = run(NewCompiled(cc))
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < sims; i++ {
+		if !reflect.DeepEqual(gotSA[i], wantSA) || !reflect.DeepEqual(gotTR[i], wantTR) {
+			t.Fatalf("simulator %d on the shared compiled circuit differs from a private compile", i)
+		}
+	}
 }

@@ -24,6 +24,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -96,36 +97,49 @@ func (s *Store) Put(kind Kind, key string, v interface{}) (int64, error) {
 	if !ValidKey(key) {
 		return 0, fmt.Errorf("resultstore: invalid artifact key %q", key)
 	}
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, string(kind)), "put-*.tmp")
+	return WriteAtomic(filepath.Join(s.dir, string(kind)), key+Ext, func(w io.Writer) error {
+		zw := gzip.NewWriter(w)
+		if err := json.NewEncoder(zw).Encode(v); err != nil {
+			return err
+		}
+		return zw.Close()
+	})
+}
+
+// WriteAtomic creates or replaces dir/name with what write produces and
+// returns the file's size. The bytes go to a temporary file in dir that
+// is renamed over name only once written and closed whole, so a crashed
+// or failed writer never leaves a half-written file behind.
+func WriteAtomic(dir, name string, write func(io.Writer) error) (int64, error) {
+	tmp, err := os.CreateTemp(dir, "put-*.tmp")
 	if err != nil {
 		return 0, err
 	}
-	discard := func(err error) (int64, error) {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
+	cw := &countingWriter{w: tmp}
+	err = write(cw)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	zw := gzip.NewWriter(tmp)
-	if err := json.NewEncoder(zw).Encode(v); err != nil {
-		return discard(err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
 	}
-	if err := zw.Close(); err != nil {
-		return discard(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	fi, err := os.Stat(tmp.Name())
 	if err != nil {
 		os.Remove(tmp.Name())
 		return 0, err
 	}
-	if err := os.Rename(tmp.Name(), s.path(kind, key)); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	return fi.Size(), nil
+	return cw.n, nil
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Get loads the artifact under (kind, key) into out. A missing artifact

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"time"
 
-	"cpsinw/internal/atpg"
-	"cpsinw/internal/core"
 	"cpsinw/internal/dict"
 	"cpsinw/internal/faultsim"
 	"cpsinw/internal/logic"
@@ -55,7 +52,8 @@ type RunObserver struct {
 	// Span is the parent span; each campaign stage becomes a child.
 	Span *obs.Span
 	// Progress receives live snapshots from the simulation and ATPG
-	// stages. Calls are serialized; the callback must not re-enter the
+	// stages. Concurrently running shards call it concurrently, so it
+	// must be safe for concurrent use; it must not re-enter the
 	// campaign.
 	Progress func(JobProgress)
 	// OnStage receives each finished stage's wall-clock duration.
@@ -82,250 +80,10 @@ func (ro *RunObserver) stage(parent *obs.Span, name string) (*obs.Span, func()) 
 	}
 }
 
-// RunCampaign executes one normalized campaign request against the
-// batch engines, honouring the context between phases and inside the
-// parallel transistor simulation and the ATPG generators.
-func RunCampaign(ctx context.Context, c *logic.Circuit, req CampaignRequest) (*CampaignReport, error) {
-	return RunCampaignObserved(ctx, c, req, nil)
-}
-
-// RunCampaignObserved is RunCampaign with per-stage span tracing and
-// live progress reporting. Stages (and their span names) are: patterns,
-// compile, simulate (with per-fault-class children), report; request
-// parsing happens before the campaign and is recorded by the job
-// manager.
+// RunCampaignObserved runs the campaign as one shard without a result
+// store, with per-stage span tracing and live progress reporting.
 func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequest, ro *RunObserver) (*CampaignReport, error) {
-	if ro == nil {
-		ro = &RunObserver{}
-	}
-	start := time.Now()
-
-	engine, err := faultsim.ParseEngine(req.Engine)
-	if err != nil {
-		return nil, err
-	}
-
-	patSpan, patDone := ro.stage(ro.Span, "patterns")
-	pats := BuildPatterns(c, req.Patterns, req.Seed)
-	patSpan.SetAttr("count", strconv.Itoa(len(pats)))
-	patDone()
-
-	sim := faultsim.New(c)
-	sim.Engine = engine
-
-	// The stage the simulator progress callback attributes snapshots
-	// to: the simulator names its own stages, but the voltage-only and
-	// +IDDQ transistor sweeps both run under its "transistor" stage and
-	// only the campaign can tell them apart. faultCount is the stage's
-	// targeted fault universe, the coverage denominator.
-	currentStage := ""
-	faultCount := 0
-	if ro.Progress != nil {
-		sim.Progress = func(p faultsim.Progress) {
-			ro.Progress(JobProgress{
-				Stage:     currentStage,
-				Done:      p.Done,
-				Total:     p.Total,
-				Detected:  p.Detected,
-				Dropped:   p.Dropped,
-				Faults:    faultCount,
-				GateEvals: p.GateEvals,
-			})
-		}
-	}
-
-	_, compileDone := ro.stage(ro.Span, "compile")
-	sim.EnsureCompiled()
-	compileDone()
-
-	stats := c.Statistics()
-	rep := &CampaignReport{
-		Circuit: CircuitInfo{
-			Name:    c.Name,
-			Inputs:  stats.Inputs,
-			Outputs: stats.Outputs,
-			Gates:   stats.Gates,
-			DPGates: stats.DPGates,
-		},
-		Patterns: len(pats),
-		Engine:   engine.String(),
-	}
-
-	// Signature harvesting: with a dictionary store attached, the
-	// stuck-at sweep and one transistor sweep run with a capture sink so
-	// the dictionary comes out of the simulation the campaign performs
-	// anyway. The leak plane needs the +IDDQ run; without IDDQ the
-	// voltage run carries the (identical) output plane.
-	wantDict := ro.Dict != nil && ro.DictKey != ""
-	var saFaults, dictTrFaults []core.Fault
-	var saCapture, trCapture *faultsim.SignatureCapture
-
-	simSpan, simDone := ro.stage(ro.Span, "simulate")
-
-	if req.Faults.StuckAt {
-		faults := core.Universe(c, core.ClassicalOnly())
-		currentStage, faultCount = "stuck_at", len(faults)
-		_, done := ro.stage(simSpan, "stuck_at")
-		if wantDict {
-			saFaults = faults
-			saCapture = faultsim.NewSignatureCapture(len(faults), len(pats))
-			sim.Signatures = saCapture
-		}
-		ds, err := sim.RunStuckAtContext(ctx, faults, pats)
-		sim.Signatures = nil
-		if err != nil {
-			return nil, err
-		}
-		done()
-		rep.StuckAt = coverageJSON(faultsim.Summarise(ds))
-	}
-
-	uopt := core.UniverseOptions{
-		ChannelBreak: req.Faults.StuckOpen,
-		StuckOn:      req.Faults.StuckOn,
-		Polarity:     req.Faults.Polarity,
-	}
-	if uopt.ChannelBreak || uopt.StuckOn || uopt.Polarity {
-		trFaults := core.Universe(c, uopt)
-		currentStage, faultCount = "transistor", len(trFaults)
-		_, done := ro.stage(simSpan, "transistor")
-		if wantDict && !req.Faults.IDDQ {
-			dictTrFaults = trFaults
-			trCapture = faultsim.NewSignatureCapture(len(trFaults), len(pats))
-			sim.Signatures = trCapture
-		}
-		ds, err := sim.RunTransistorParallel(ctx, trFaults, pats, false, req.Workers)
-		sim.Signatures = nil
-		if err != nil {
-			return nil, err
-		}
-		done()
-		rep.Transistor = coverageJSON(faultsim.Summarise(ds))
-		if req.Faults.IDDQ {
-			currentStage = "transistor_iddq"
-			_, done := ro.stage(simSpan, "transistor_iddq")
-			if wantDict {
-				dictTrFaults = trFaults
-				trCapture = faultsim.NewSignatureCapture(len(trFaults), len(pats))
-				sim.Signatures = trCapture
-			}
-			ds, err = sim.RunTransistorParallel(ctx, trFaults, pats, true, req.Workers)
-			sim.Signatures = nil
-			if err != nil {
-				return nil, err
-			}
-			done()
-			rep.TransistorIDDQ = coverageJSON(faultsim.Summarise(ds))
-		}
-	}
-
-	if req.Faults.Bridges {
-		bridges := core.NeighborBridges(c, req.Faults.BridgeWindow)
-		currentStage, faultCount = "bridges", len(bridges)
-		_, done := ro.stage(simSpan, "bridges")
-		ds, err := sim.RunBridgesObserved(ctx, bridges, pats, req.Faults.IDDQ)
-		if err != nil {
-			return nil, err
-		}
-		done()
-		rep.Bridges = coverageJSON(faultsim.BridgeCoverage(ds))
-	}
-
-	if req.ATPG {
-		genOpt := uopt
-		genOpt.LineStuckAt = req.Faults.StuckAt
-		universe := core.Universe(c, genOpt)
-		atpgOpt := atpg.Options{Engine: engine}
-		if ro.Progress != nil {
-			atpgOpt.Progress = func(p atpg.Progress) {
-				ro.Progress(JobProgress{
-					Stage:      "atpg",
-					Class:      p.Class,
-					Done:       p.Done,
-					Total:      p.Total,
-					Detected:   p.Covered,
-					Faults:     p.Total,
-					Untestable: p.Untestable,
-					Vectors:    p.Vectors,
-				})
-			}
-		}
-		_, done := ro.stage(simSpan, "atpg")
-		res, err := atpg.GenerateContext(ctx, c, universe, atpgOpt)
-		if err != nil {
-			return nil, err
-		}
-		done()
-		rep.ATPG = &ATPGJSON{
-			StuckAtTargeted:  res.StuckAtTargeted,
-			StuckAtCovered:   res.StuckAtCovered,
-			PolarityTargeted: res.PolarityTargeted,
-			PolarityCovered:  res.PolarityCovered,
-			CBSPTargeted:     res.CBSPTargeted,
-			CBSPCovered:      res.CBSPCovered,
-			CBDPTargeted:     res.CBDPTargeted,
-			CBDPCovered:      res.CBDPCovered,
-			Coverage:         res.Coverage(),
-			TotalVectors:     res.Set.TotalVectors(),
-			Untestable:       len(res.Untestable),
-		}
-	}
-	simDone()
-
-	if wantDict && (saCapture != nil || trCapture != nil) {
-		dictSpan, done := ro.stage(ro.Span, "dictionary")
-		d := &dict.Dictionary{Meta: dict.Meta{
-			Key:       ro.DictKey,
-			Circuit:   c.Name,
-			Patterns:  len(pats),
-			Seed:      req.Seed,
-			Engine:    engine.String(),
-			IDDQ:      req.Faults.IDDQ,
-			CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		}}
-		addEntries := func(faults []core.Fault, capture *faultsim.SignatureCapture, leak bool) {
-			for i := range faults {
-				e := dict.Entry{
-					Fault: faults[i].String(),
-					Out:   dict.FromWords(len(pats), capture.Out(i)),
-					Leak:  dict.NewBitset(len(pats)),
-				}
-				if leak {
-					e.Leak = dict.FromWords(len(pats), capture.Leak(i))
-				}
-				d.Entries = append(d.Entries, e)
-			}
-		}
-		if saCapture != nil {
-			addEntries(saFaults, saCapture, false)
-		}
-		if trCapture != nil {
-			addEntries(dictTrFaults, trCapture, req.Faults.IDDQ)
-		}
-		_, size, err := ro.Dict.Put(d)
-		if err != nil {
-			return nil, fmt.Errorf("dictionary: %w", err)
-		}
-		dictSpan.SetAttr("entries", strconv.Itoa(len(d.Entries)))
-		dictSpan.SetAttr("bytes", strconv.FormatInt(size, 10))
-		rep.Dictionary = &DictionaryJSON{
-			Key:                 d.Meta.Key,
-			Entries:             d.Meta.Entries,
-			Patterns:            d.Meta.Patterns,
-			IDDQ:                d.Meta.IDDQ,
-			CompressedBytes:     size,
-			Detected:            d.Meta.Resolution.Detected,
-			Classes:             d.Meta.Resolution.Classes,
-			UniquelyDiagnosable: d.Meta.Resolution.UniquelyDiagnosable,
-		}
-		done()
-	}
-
-	_, reportDone := ro.stage(ro.Span, "report")
-	rep.Tables = buildTables(rep)
-	reportDone()
-	rep.ElapsedMS = time.Since(start).Milliseconds()
-	return rep, nil
+	return RunCampaignSharded(ctx, c, req, ShardedOptions{Shards: 1}, ro)
 }
 
 func coverageJSON(cov faultsim.Coverage) *CoverageJSON {

@@ -12,6 +12,7 @@ import (
 	"cpsinw/internal/dict"
 	"cpsinw/internal/faultsim"
 	"cpsinw/internal/logic"
+	"cpsinw/internal/obs"
 	"cpsinw/internal/resultstore"
 	"cpsinw/internal/shard"
 )
@@ -48,17 +49,22 @@ type ShardedOptions struct {
 }
 
 // shardEnv is the immutable per-campaign state every shard attempt
-// shares: the circuit, pattern set and full fault universes the sub-job
-// ranges index into.
+// shares: the circuit compiled once (read-only, so every shard's
+// simulator can use it), the pattern set and the full fault universes
+// the sub-job ranges index into.
 type shardEnv struct {
-	c        *logic.Circuit
+	cc       *logic.CompiledCircuit
 	engine   faultsim.Engine
 	pats     []faultsim.Pattern
 	saFaults []core.Fault
 	trFaults []core.Fault
 	bridges  []core.Bridge
 	iddq     bool
-	agg      *shardAgg
+	// trWorkers is each shard's transistor-sweep parallelism: the
+	// request's Workers on a one-shard plan, 1 otherwise (the shards
+	// already run concurrently; wider sweeps would oversubscribe).
+	trWorkers int
+	agg       *shardAgg
 }
 
 // shardAgg aggregates per-shard progress into campaign-level snapshots:
@@ -72,6 +78,9 @@ type shardAgg struct {
 	mu      sync.Mutex
 	done    int // finished sub-jobs
 	classes map[string]*classAgg
+	// ran sums each class's simulation time over the shards that ran it
+	// live (cache-served shards add nothing).
+	ran map[string]time.Duration
 }
 
 type classAgg struct {
@@ -81,7 +90,26 @@ type classAgg struct {
 }
 
 func newShardAgg(ro *RunObserver, shards int) *shardAgg {
-	return &shardAgg{ro: ro, shards: shards, classes: map[string]*classAgg{}}
+	return &shardAgg{ro: ro, shards: shards, classes: map[string]*classAgg{}, ran: map[string]time.Duration{}}
+}
+
+// ranFor adds one shard's simulation time for a class.
+func (a *shardAgg) ranFor(stage string, d time.Duration) {
+	a.mu.Lock()
+	a.ran[stage] += d
+	a.mu.Unlock()
+}
+
+// observeStages reports each simulated class once per campaign, with
+// its time summed over every shard that ran it. Call it after the
+// shards finished.
+func (a *shardAgg) observeStages() {
+	if a.ro.OnStage == nil {
+		return
+	}
+	for stage, d := range a.ran {
+		a.ro.OnStage(stage, d)
+	}
 }
 
 func (a *shardAgg) class(name string, faults int) {
@@ -163,14 +191,22 @@ func (a *shardAgg) snapshotLocked(stage string, ca *classAgg) JobProgress {
 	return p
 }
 
-// RunCampaignSharded executes one normalized campaign as a plan of
-// content-addressed sub-jobs over contiguous fault ranges, then merges
-// the shard results into a report that is bit-identical (ElapsedMS and
-// dictionary timestamp aside) to RunCampaignObserved on the same
-// request — the shard differential tests pin this. Shards already in
-// opt.Store are served without simulation; fresh shards persist there
-// for the next run. ATPG and the dictionary build are not fault-
-// parallel and run once, in the merger.
+// RunCampaignSharded executes one normalized campaign — the only
+// campaign orchestrator — as a plan of content-addressed sub-jobs over
+// contiguous fault ranges, then merges the shard results into one
+// report. A one-shard plan without a store is the plain campaign
+// (RunCampaignObserved); any shard count gives the same report and
+// dictionary rows, which the shard differential tests pin against
+// direct per-class engine sweeps. Shards already in opt.Store are served
+// without simulation; fresh shards persist there for the next run. ATPG
+// and the dictionary build are not fault-parallel and run once, after
+// the shards.
+//
+// Stages (and their span names) are: patterns, compile, simulate (one
+// shard child per attempt, each with per-fault-class children, then
+// atpg), merge, dictionary, report. Request parsing happens before the
+// campaign and is recorded by the job manager. OnStage sees each class
+// once per campaign, with its time summed over the shards that ran it.
 func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignRequest, opt ShardedOptions, ro *RunObserver) (*CampaignReport, error) {
 	if ro == nil {
 		ro = &RunObserver{}
@@ -190,7 +226,10 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	patSpan.SetAttr("count", strconv.Itoa(len(pats)))
 	patDone()
 
-	env := &shardEnv{c: c, engine: engine, pats: pats, iddq: req.Faults.IDDQ}
+	_, compileDone := ro.stage(ro.Span, "compile")
+	env := &shardEnv{cc: c.Compile(), engine: engine, pats: pats, iddq: req.Faults.IDDQ, trWorkers: 1}
+	compileDone()
+
 	if req.Faults.StuckAt {
 		env.saFaults = core.Universe(c, core.ClassicalOnly())
 	}
@@ -212,6 +251,9 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 		k = shard.AutoShards(len(c.Gates), len(env.saFaults)+len(env.trFaults)+len(env.bridges))
 	}
 	plan := shard.NewPlan(opt.Key, k, len(env.saFaults), len(env.trFaults), len(env.bridges), wantDict)
+	if plan.Total == 1 {
+		env.trWorkers = req.Workers
+	}
 	if ro.Span != nil {
 		ro.Span.SetAttr("shards", strconv.Itoa(plan.Total))
 	}
@@ -268,7 +310,7 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 				sp.SetAttr("cache", "mismatch")
 			}
 		}
-		res, err := runShardJob(ctx, env, opt.Key, j)
+		res, err := runShardJob(ctx, env, opt.Key, j, sp)
 		if err != nil {
 			return err
 		}
@@ -292,9 +334,10 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	if err := sched.Run(ctx, plan.Jobs, attempt, opt.Events); err != nil {
 		return nil, err
 	}
+	env.agg.observeStages()
 
 	// ATPG is a sequential generator, not a fault-parallel sweep: it
-	// runs once here, exactly as the unsharded campaign runs it.
+	// runs once, after the shards.
 	if req.ATPG {
 		genOpt := uopt
 		genOpt.LineStuckAt = req.Faults.StuckAt
@@ -338,6 +381,8 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	}
 	simDone()
 
+	// Coverage comes straight from the shard records; signatures are
+	// merged only when a dictionary is built from them.
 	mergeSpan, mergeDone := ro.stage(ro.Span, "merge")
 	collect := func(pick func(*shard.Result) *shard.ClassResult) []*shard.ClassResult {
 		out := make([]*shard.ClassResult, 0, len(results))
@@ -351,11 +396,9 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	var saCapture, trCapture *faultsim.SignatureCapture
 	if env.saFaults != nil {
 		parts := collect(func(r *shard.Result) *shard.ClassResult { return r.StuckAt })
-		ds, err := shard.MergeDetections(env.saFaults, parts)
-		if err != nil {
+		if rep.StuckAt, err = classCoverage(env.saFaults, parts); err != nil {
 			return nil, err
 		}
-		rep.StuckAt = coverageJSON(faultsim.Summarise(ds))
 		if wantDict {
 			if saCapture, err = shard.MergeSignatures(len(env.saFaults), len(pats), parts, false); err != nil {
 				return nil, err
@@ -364,11 +407,9 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	}
 	if env.trFaults != nil {
 		parts := collect(func(r *shard.Result) *shard.ClassResult { return r.TransistorV })
-		ds, err := shard.MergeDetections(env.trFaults, parts)
-		if err != nil {
+		if rep.Transistor, err = classCoverage(env.trFaults, parts); err != nil {
 			return nil, err
 		}
-		rep.Transistor = coverageJSON(faultsim.Summarise(ds))
 		if wantDict && !req.Faults.IDDQ {
 			if trCapture, err = shard.MergeSignatures(len(env.trFaults), len(pats), parts, false); err != nil {
 				return nil, err
@@ -376,11 +417,9 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 		}
 		if req.Faults.IDDQ {
 			parts := collect(func(r *shard.Result) *shard.ClassResult { return r.TransistorIQ })
-			ds, err := shard.MergeDetections(env.trFaults, parts)
-			if err != nil {
+			if rep.TransistorIDDQ, err = classCoverage(env.trFaults, parts); err != nil {
 				return nil, err
 			}
-			rep.TransistorIDDQ = coverageJSON(faultsim.Summarise(ds))
 			if wantDict {
 				if trCapture, err = shard.MergeSignatures(len(env.trFaults), len(pats), parts, true); err != nil {
 					return nil, err
@@ -389,16 +428,20 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 		}
 	}
 	if env.bridges != nil {
-		parts := collect(func(r *shard.Result) *shard.ClassResult { return r.Bridges })
-		ds, err := shard.MergeBridgeDetections(env.bridges, parts)
+		cov, err := shard.BridgeCoverage(len(env.bridges), collect(func(r *shard.Result) *shard.ClassResult { return r.Bridges }))
 		if err != nil {
 			return nil, err
 		}
-		rep.Bridges = coverageJSON(faultsim.BridgeCoverage(ds))
+		rep.Bridges = coverageJSON(cov)
 	}
 	mergeSpan.SetAttr("shards", strconv.Itoa(plan.Total))
 	mergeDone()
 
+	// Signature harvesting: the stuck-at sweep and one transistor sweep
+	// ran with a capture sink, so the dictionary comes out of the
+	// simulation the campaign performed anyway. The leak plane needs the
+	// +IDDQ run; without IDDQ the voltage run carries the (identical)
+	// output plane.
 	if wantDict && (saCapture != nil || trCapture != nil) {
 		dictSpan, done := ro.stage(ro.Span, "dictionary")
 		d := &dict.Dictionary{Meta: dict.Meta{
@@ -455,11 +498,27 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	return rep, nil
 }
 
-// runShardJob simulates one sub-job's fault slices on a private
-// simulator (capture sinks and progress hooks are simulator state, so
-// concurrent shards cannot share one).
-func runShardJob(ctx context.Context, env *shardEnv, campaignKey string, j shard.SubJob) (*shard.Result, error) {
-	sim := faultsim.New(env.c)
+// classCoverage summarises one fault class straight from its shard
+// records, naming the undetected faults from the class universe.
+func classCoverage(universe []core.Fault, parts []*shard.ClassResult) (*CoverageJSON, error) {
+	var undetected []string
+	cov, err := shard.Summarise(len(universe), parts, func(i int) {
+		undetected = append(undetected, universe[i].String())
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := coverageJSON(cov)
+	out.Undetected = undetected
+	return out, nil
+}
+
+// runShardJob simulates one sub-job's fault slices, each class sweep
+// traced as a child of the shard span sp. The simulator is private to
+// the attempt (capture sinks and progress hooks are simulator state)
+// but shares the campaign's compiled circuit.
+func runShardJob(ctx context.Context, env *shardEnv, campaignKey string, j shard.SubJob, sp *obs.Span) (*shard.Result, error) {
+	sim := faultsim.NewCompiled(env.cc)
 	sim.Engine = env.engine
 
 	// Stage bookkeeping for the progress aggregator and the gate-eval
@@ -471,15 +530,24 @@ func runShardJob(ctx context.Context, env *shardEnv, campaignKey string, j shard
 		lastEvals = p.GateEvals
 		env.agg.note(currentStage, j.Index, p)
 	}
-	endRun := func() {
-		totalEvals += lastEvals
-		lastEvals = 0
+	// stage opens one class sweep; the returned func ends its span and
+	// books its gate evals and time.
+	stage := func(name string) func() {
+		currentStage = name
+		cs := sp.Child(name)
+		start := time.Now()
+		return func() {
+			cs.End()
+			env.agg.ranFor(name, time.Since(start))
+			totalEvals += lastEvals
+			lastEvals = 0
+		}
 	}
 
 	res := &shard.Result{Key: j.Key, CampaignKey: campaignKey, Index: j.Index, Total: j.Total}
 
 	if env.saFaults != nil {
-		currentStage = "stuck_at"
+		done := stage("stuck_at")
 		faults := env.saFaults[j.StuckAt.Start:j.StuckAt.End]
 		var capture *faultsim.SignatureCapture
 		if j.Capture {
@@ -488,10 +556,10 @@ func runShardJob(ctx context.Context, env *shardEnv, campaignKey string, j shard
 		}
 		ds, err := sim.RunStuckAtContext(ctx, faults, env.pats)
 		sim.Signatures = nil
+		done()
 		if err != nil {
 			return nil, err
 		}
-		endRun()
 		cr := &shard.ClassResult{Range: j.StuckAt, Dets: shard.EncodeDetections(ds)}
 		if capture != nil {
 			cr.Out = shard.EncodeSigRows(capture, false)
@@ -500,21 +568,19 @@ func runShardJob(ctx context.Context, env *shardEnv, campaignKey string, j shard
 	}
 
 	if env.trFaults != nil {
-		currentStage = "transistor"
+		done := stage("transistor")
 		faults := env.trFaults[j.Transistor.Start:j.Transistor.End]
 		var capture *faultsim.SignatureCapture
 		if j.Capture && !env.iddq {
 			capture = faultsim.NewSignatureCapture(len(faults), len(env.pats))
 			sim.Signatures = capture
 		}
-		// Parallelism comes from running shards concurrently; inside a
-		// shard the sweep stays single-worker to avoid oversubscription.
-		ds, err := sim.RunTransistorParallel(ctx, faults, env.pats, false, 1)
+		ds, err := sim.RunTransistorParallel(ctx, faults, env.pats, false, env.trWorkers)
 		sim.Signatures = nil
+		done()
 		if err != nil {
 			return nil, err
 		}
-		endRun()
 		cr := &shard.ClassResult{Range: j.Transistor, Dets: shard.EncodeDetections(ds)}
 		if capture != nil {
 			cr.Out = shard.EncodeSigRows(capture, false)
@@ -522,18 +588,18 @@ func runShardJob(ctx context.Context, env *shardEnv, campaignKey string, j shard
 		res.TransistorV = cr
 
 		if env.iddq {
-			currentStage = "transistor_iddq"
+			done := stage("transistor_iddq")
 			capture = nil
 			if j.Capture {
 				capture = faultsim.NewSignatureCapture(len(faults), len(env.pats))
 				sim.Signatures = capture
 			}
-			ds, err := sim.RunTransistorParallel(ctx, faults, env.pats, true, 1)
+			ds, err := sim.RunTransistorParallel(ctx, faults, env.pats, true, env.trWorkers)
 			sim.Signatures = nil
+			done()
 			if err != nil {
 				return nil, err
 			}
-			endRun()
 			cr := &shard.ClassResult{Range: j.Transistor, Dets: shard.EncodeDetections(ds)}
 			if capture != nil {
 				cr.Out = shard.EncodeSigRows(capture, false)
@@ -544,13 +610,13 @@ func runShardJob(ctx context.Context, env *shardEnv, campaignKey string, j shard
 	}
 
 	if env.bridges != nil {
-		currentStage = "bridges"
+		done := stage("bridges")
 		brs := env.bridges[j.Bridges.Start:j.Bridges.End]
 		ds, err := sim.RunBridgesObserved(ctx, brs, env.pats, env.iddq)
+		done()
 		if err != nil {
 			return nil, err
 		}
-		endRun()
 		res.Bridges = &shard.ClassResult{Range: j.Bridges, Dets: shard.EncodeBridgeDetections(ds)}
 	}
 

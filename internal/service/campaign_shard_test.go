@@ -8,17 +8,17 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cpsinw/internal/core"
 	"cpsinw/internal/dict"
 	"cpsinw/internal/faultsim"
+	"cpsinw/internal/logic"
 	"cpsinw/internal/resultstore"
 	"cpsinw/internal/shard"
 )
 
-// normalizeReport strips the only fields allowed to differ between a
-// sharded and an unsharded run of the same campaign: wall-clock time
-// and the dictionary artifact's compressed size (its payload embeds a
-// creation timestamp; the signature rows themselves are compared
-// separately, bit for bit).
+// normalizeReport strips the only fields allowed to differ between two
+// runs of the same campaign: wall-clock time and the dictionary
+// artifact's compressed size (its payload embeds a creation timestamp).
 func normalizeReport(t *testing.T, rep *CampaignReport) map[string]interface{} {
 	t.Helper()
 	cp := *rep
@@ -39,8 +39,78 @@ func normalizeReport(t *testing.T, rep *CampaignReport) map[string]interface{} {
 	return m
 }
 
-// runDifferential pins the sharded path bit-identical to the unsharded
-// packed single-shot on one request, for every shard count in ks.
+// directCampaign is the shard differential's oracle: every requested
+// fault class swept once over its full universe straight through
+// faultsim — no shard plan, no record encoding, no merge — with
+// signature capture on. It returns the coverage blocks a campaign of the
+// request must report and the dictionary rows it must store.
+func directCampaign(t *testing.T, c *logic.Circuit, req CampaignRequest) (*CampaignReport, []dict.Entry) {
+	t.Helper()
+	ctx := context.Background()
+	engine, err := faultsim.ParseEngine(req.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats := BuildPatterns(c, req.Patterns, req.Seed)
+	sim := faultsim.New(c)
+	sim.Engine = engine
+	want := &CampaignReport{Patterns: len(pats)}
+	var rows []dict.Entry
+	addRows := func(faults []core.Fault, capture *faultsim.SignatureCapture, leak bool) {
+		for i, f := range faults {
+			e := dict.Entry{Fault: f.String(), Out: dict.FromWords(len(pats), capture.Out(i)), Leak: dict.NewBitset(len(pats))}
+			if leak {
+				e.Leak = dict.FromWords(len(pats), capture.Leak(i))
+			}
+			rows = append(rows, e)
+		}
+	}
+
+	if req.Faults.StuckAt {
+		faults := core.Universe(c, core.ClassicalOnly())
+		capture := faultsim.NewSignatureCapture(len(faults), len(pats))
+		sim.Signatures = capture
+		ds, err := sim.RunStuckAtContext(ctx, faults, pats)
+		sim.Signatures = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.StuckAt = coverageJSON(faultsim.Summarise(ds))
+		addRows(faults, capture, false)
+	}
+	uopt := core.UniverseOptions{ChannelBreak: req.Faults.StuckOpen, StuckOn: req.Faults.StuckOn, Polarity: req.Faults.Polarity}
+	if uopt.ChannelBreak || uopt.StuckOn || uopt.Polarity {
+		faults := core.Universe(c, uopt)
+		sweep := func(iddq bool) (*CoverageJSON, *faultsim.SignatureCapture) {
+			capture := faultsim.NewSignatureCapture(len(faults), len(pats))
+			sim.Signatures = capture
+			ds, err := sim.RunTransistorParallel(ctx, faults, pats, iddq, 1)
+			sim.Signatures = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			return coverageJSON(faultsim.Summarise(ds)), capture
+		}
+		var capture *faultsim.SignatureCapture
+		want.Transistor, capture = sweep(false)
+		if req.Faults.IDDQ {
+			want.TransistorIDDQ, capture = sweep(true)
+		}
+		addRows(faults, capture, req.Faults.IDDQ)
+	}
+	if req.Faults.Bridges {
+		ds, err := sim.RunBridgesObserved(ctx, core.NeighborBridges(c, req.Faults.BridgeWindow), pats, req.Faults.IDDQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Bridges = coverageJSON(faultsim.BridgeCoverage(ds))
+	}
+	return want, rows
+}
+
+// runDifferential pins the campaign path against directCampaign on one
+// request, for every shard count in ks: each class's coverage block and
+// every dictionary row must match the direct sweeps.
 func runDifferential(t *testing.T, req CampaignRequest, ks []int) {
 	t.Helper()
 	norm, c, err := req.normalize()
@@ -48,47 +118,49 @@ func runDifferential(t *testing.T, req CampaignRequest, ks []int) {
 		t.Fatal(err)
 	}
 	key := CanonicalKey(c, norm)
-
-	baseDict, err := dict.Open(filepath.Join(t.TempDir(), "dict-base"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := RunCampaignObserved(context.Background(), c, norm, &RunObserver{Dict: baseDict, DictKey: key})
-	if err != nil {
-		t.Fatalf("unsharded: %v", err)
-	}
-	baseJSON := normalizeReport(t, base)
-	baseD, err := baseDict.Get(key)
-	if err != nil {
-		t.Fatalf("unsharded dictionary: %v", err)
-	}
+	want, wantRows := directCampaign(t, c, norm)
 
 	for _, k := range ks {
-		shDict, err := dict.Open(filepath.Join(t.TempDir(), "dict-sharded"))
+		store, err := dict.Open(filepath.Join(t.TempDir(), "dict"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := RunCampaignSharded(context.Background(), c, norm,
-			ShardedOptions{Key: key, Shards: k}, &RunObserver{Dict: shDict, DictKey: key})
+			ShardedOptions{Key: key, Shards: k}, &RunObserver{Dict: store, DictKey: key})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if gotJSON := normalizeReport(t, got); !reflect.DeepEqual(gotJSON, baseJSON) {
-			b1, _ := json.MarshalIndent(baseJSON, "", " ")
-			b2, _ := json.MarshalIndent(gotJSON, "", " ")
-			t.Fatalf("k=%d: sharded report differs from unsharded\nunsharded: %s\nsharded:   %s", k, b1, b2)
+		if got.Patterns != want.Patterns {
+			t.Fatalf("k=%d: %d patterns, direct sweeps ran %d", k, got.Patterns, want.Patterns)
 		}
-		shD, err := shDict.Get(key)
+		for _, cls := range []struct {
+			name      string
+			got, want *CoverageJSON
+		}{
+			{"stuck_at", got.StuckAt, want.StuckAt},
+			{"transistor", got.Transistor, want.Transistor},
+			{"transistor_iddq", got.TransistorIDDQ, want.TransistorIDDQ},
+			{"bridges", got.Bridges, want.Bridges},
+		} {
+			if !reflect.DeepEqual(cls.got, cls.want) {
+				t.Fatalf("k=%d: %s coverage differs from the direct sweep\ncampaign: %+v\ndirect:   %+v",
+					k, cls.name, cls.got, cls.want)
+			}
+		}
+		d, err := store.Get(key)
 		if err != nil {
-			t.Fatalf("k=%d sharded dictionary: %v", k, err)
+			t.Fatalf("k=%d dictionary: %v", k, err)
 		}
-		if len(shD.Entries) != len(baseD.Entries) {
-			t.Fatalf("k=%d: %d dictionary entries, unsharded has %d", k, len(shD.Entries), len(baseD.Entries))
+		if len(d.Entries) != len(wantRows) {
+			t.Fatalf("k=%d: %d dictionary entries, direct sweeps give %d", k, len(d.Entries), len(wantRows))
 		}
-		for i := range baseD.Entries {
-			if !reflect.DeepEqual(shD.Entries[i], baseD.Entries[i]) {
-				t.Fatalf("k=%d: dictionary row %d (%s) differs from unsharded run",
-					k, i, baseD.Entries[i].Fault)
+		for _, w := range wantRows {
+			e, ok := d.Lookup(w.Fault)
+			if !ok {
+				t.Fatalf("k=%d: dictionary has no row for %s", k, w.Fault)
+			}
+			if !e.Out.Equal(w.Out) || !e.Leak.Equal(w.Leak) {
+				t.Fatalf("k=%d: dictionary row %s differs from the direct sweep", k, w.Fault)
 			}
 		}
 	}
@@ -96,7 +168,7 @@ func runDifferential(t *testing.T, req CampaignRequest, ks []int) {
 
 // TestShardedMergeBitIdenticalProperty is the merge-determinism
 // property test: K in {1,2,4,8} shards, full fault configuration with
-// IDDQ, against the packed single-shot engine.
+// IDDQ, against direct packed-engine sweeps.
 func TestShardedMergeBitIdenticalProperty(t *testing.T) {
 	runDifferential(t, CampaignRequest{
 		Benchmark: "mult3",
@@ -108,8 +180,20 @@ func TestShardedMergeBitIdenticalProperty(t *testing.T) {
 	}, []int{1, 2, 4, 8})
 }
 
+// TestShardedReferenceEngineDifferential is the same property on the
+// reference oracle engine, whose simulators never compile the circuit.
+// The switch-level oracle is slow, so the row keeps to the fault classes
+// it sweeps fastest; the packed rows cover the leak plane.
+func TestShardedReferenceEngineDifferential(t *testing.T) {
+	runDifferential(t, CampaignRequest{
+		Benchmark: "mult3",
+		Faults:    FaultConfig{StuckAt: true, StuckOn: true},
+		Engine:    "reference",
+	}, []int{1, 4})
+}
+
 // TestShardedMult16Differential pins the mult16 campaign (random
-// patterns, packed engine) sharded vs unsharded.
+// patterns, packed engine) against the direct sweeps.
 func TestShardedMult16Differential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mult16 differential is a long test")
@@ -124,7 +208,7 @@ func TestShardedMult16Differential(t *testing.T) {
 	}, []int{4})
 }
 
-// TestShardedC432Differential pins the sharded path on the ISCAS-scale
+// TestShardedC432Differential pins the campaign path on the ISCAS-scale
 // c432 reconstruction (36 inputs forces the random-pattern path, and
 // the priority-chain topology exercises deep fault cones).
 func TestShardedC432Differential(t *testing.T) {

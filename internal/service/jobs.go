@@ -26,7 +26,7 @@ var ErrClosed = errors.New("service: manager closed")
 
 // runCampaign is the worker's execution function, a seam for tests that
 // need deterministic blocking, cancellation or synthetic progress.
-var runCampaign = RunCampaignObserved
+var runCampaign = RunCampaignSharded
 
 // Job is one campaign submission moving through the queue.
 type Job struct {
@@ -130,13 +130,14 @@ type ManagerConfig struct {
 	DictDir string
 
 	// ResultDir, when set, enables the durable content-addressed result
-	// store: campaigns run sharded, each sub-job and each merged report
-	// persisting under its content address, so repeat campaigns — and
-	// the already-computed shards of interrupted ones — are answered
-	// without re-simulation across process restarts. Campaigns that
-	// were accepted but unfinished when the process stopped surface as
-	// resumable jobs on the next start. Empty disables persistence (and
-	// sharding, unless a request asks for shards explicitly).
+	// store: each sub-job and each merged report persists under its
+	// content address, so repeat campaigns — and the already-computed
+	// shards of interrupted ones — are answered without re-simulation
+	// across process restarts, and campaigns auto-size their shard
+	// count. Campaigns that were accepted but unfinished when the
+	// process stopped surface as resumable jobs on the next start. Empty
+	// disables persistence; campaigns then run as one shard unless a
+	// request asks for more.
 	ResultDir string
 	// ShardRetries re-attempts a failed shard before quarantining it
 	// (default 1; negative disables retry).
@@ -590,10 +591,12 @@ func (m *Manager) Close() {
 	m.shutdown(false)
 }
 
-// Drain shuts down gracefully: no new submissions, in-flight shards
-// (and whole unsharded in-flight jobs) run to completion and persist,
-// and still-queued jobs park as resumable state in the result store
-// instead of being canceled. Returns when the workers have exited.
+// Drain shuts down gracefully: no new submissions; with a result store,
+// in-flight shards run to completion and persist, the unstarted rest of
+// their campaigns and every still-queued job park as resumable state
+// instead of being canceled. Without a store in-flight campaigns run to
+// completion (there is nothing durable to resume from) and queued jobs
+// are canceled. Returns when the workers have exited.
 func (m *Manager) Drain() {
 	m.shutdown(true)
 }
@@ -616,18 +619,21 @@ func (m *Manager) shutdown(drain bool) {
 	m.cancel()
 }
 
-// shardedOptions wires one job's sharded execution to the manager's
-// store, drain signal, metrics and logger. A campaign runs at most as
-// many shards at once as the manager has workers, so the configured
-// pool size bounds the shard fan-out too.
+// shardedOptions wires one job's campaign execution to the manager's
+// store, drain signal, metrics and logger. Without a store a request
+// that leaves Shards at 0 runs as one shard: there is nothing to persist
+// per shard, so splitting would only add merge work. The drain signal
+// is wired only with a store, because only a store makes an abandoned
+// remainder resumable; without one Drain waits for the campaign. A
+// campaign runs at most as many shards at once as the manager has
+// workers, so the configured pool size bounds the shard fan-out too.
 func (m *Manager) shardedOptions(job *Job) ShardedOptions {
-	return ShardedOptions{
-		Key:      job.Key,
-		Shards:   job.req.Shards,
-		Store:    m.store,
-		Workers:  m.cfg.Workers,
-		Retries:  m.cfg.ShardRetries,
-		Draining: m.drain,
+	opt := ShardedOptions{
+		Key:     job.Key,
+		Shards:  job.req.Shards,
+		Store:   m.store,
+		Workers: m.cfg.Workers,
+		Retries: m.cfg.ShardRetries,
 		Events: shard.Events{
 			Scheduled: func(shard.SubJob) { m.metrics.ShardScheduled.Inc() },
 			Retried: func(j shard.SubJob, attempt int, err error) {
@@ -641,6 +647,14 @@ func (m *Manager) shardedOptions(job *Job) ShardedOptions {
 		},
 		OnCacheHit: func(shard.SubJob) { m.metrics.ShardCacheHits.Inc() },
 	}
+	if m.store == nil {
+		if opt.Shards == 0 {
+			opt.Shards = 1
+		}
+	} else {
+		opt.Draining = m.drain
+	}
+	return opt
 }
 
 func (m *Manager) worker() {
@@ -761,17 +775,7 @@ func (m *Manager) run(job *Job) {
 		Dict:     m.dict,
 		DictKey:  job.Key,
 	}
-	// Campaigns run sharded when sub-job results can persist (a result
-	// store is configured) or when the request asks for shards
-	// explicitly; otherwise the single-shot path runs unchanged. The
-	// shard differential tests pin the two paths bit-identical.
-	var rep *CampaignReport
-	var err error
-	if m.store != nil || job.req.Shards > 1 {
-		rep, err = RunCampaignSharded(ctx, job.circuit, job.req, m.shardedOptions(job), observer)
-	} else {
-		rep, err = runCampaign(ctx, job.circuit, job.req, observer)
-	}
+	rep, err := runCampaign(ctx, job.circuit, job.req, m.shardedOptions(job), observer)
 	root.End()
 	if m.store != nil {
 		err = m.settleStore(job, rep, err)
@@ -790,12 +794,12 @@ func (m *Manager) run(job *Job) {
 			m.metrics.DictBuilt.Inc()
 			m.metrics.DictBytes.Add(uint64(rep.Dictionary.CompressedBytes))
 		}
-	case errors.Is(err, shard.ErrDraining):
+	case errors.Is(err, shard.ErrDraining) && m.store != nil:
 		// In-flight shards finished and persisted; the pending marker
 		// stays, so the campaign resumes cheaply after restart.
 		job.state = StateResumable
 		job.err = err.Error()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, shard.ErrDraining), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		job.state = StateCanceled
 		job.err = err.Error()
 		m.metrics.Canceled.Inc()

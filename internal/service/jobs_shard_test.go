@@ -230,3 +230,38 @@ func TestManagerShardConcurrencyCapped(t *testing.T) {
 		}
 	}
 }
+
+// TestManagerStorelessDrainFinishesCampaign: without a result store a
+// drain has nothing durable to park a campaign in, so an in-flight
+// sharded campaign runs to completion instead of ending resumable with
+// its unstarted shards abandoned.
+func TestManagerStorelessDrainFinishesCampaign(t *testing.T) {
+	m := NewManager(ManagerConfig{Workers: 1, ProgressInterval: -1})
+	j, err := m.Submit(CampaignRequest{
+		Benchmark: "mult16",
+		Faults:    FaultConfig{Polarity: true, StuckOn: true, IDDQ: true},
+		Patterns:  64,
+		Shards:    8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel := m.Subscribe(j)
+	defer cancel()
+	for st := range ch {
+		if st.Progress != nil && st.Progress.Shards == 8 {
+			break // the first shard is running
+		}
+	}
+	m.Drain()
+	st := j.Status()
+	if st.State != StateDone {
+		t.Fatalf("drained store-less campaign ended %s (%s), want done", st.State, st.Error)
+	}
+	if rep, _, _ := j.Report(); rep == nil || rep.TransistorIDDQ == nil {
+		t.Fatal("drained campaign has no report")
+	}
+	if left := m.Resumable(); len(left) != 0 {
+		t.Fatalf("store-less manager lists %d resumable campaigns", len(left))
+	}
+}

@@ -23,6 +23,15 @@ func withFakeRunner(t *testing.T, fn func(context.Context, *logic.Circuit, Campa
 // included, and restores it afterwards.
 func withObservedRunner(t *testing.T, fn func(context.Context, *logic.Circuit, CampaignRequest, *RunObserver) (*CampaignReport, error)) {
 	t.Helper()
+	withRunner(t, func(ctx context.Context, c *logic.Circuit, req CampaignRequest, _ ShardedOptions, ro *RunObserver) (*CampaignReport, error) {
+		return fn(ctx, c, req, ro)
+	})
+}
+
+// withRunner swaps the worker execution function, the manager's
+// campaign options included, and restores it afterwards.
+func withRunner(t *testing.T, fn func(context.Context, *logic.Circuit, CampaignRequest, ShardedOptions, *RunObserver) (*CampaignReport, error)) {
+	t.Helper()
 	old := runCampaign
 	runCampaign = fn
 	t.Cleanup(func() { runCampaign = old })

@@ -441,7 +441,8 @@ func TestMetricsJSONFormat(t *testing.T) {
 }
 
 // TestTraceEndpoint checks the per-campaign span tree: root campaign
-// span with the stage children, and 404s for unknown or cache-answered
+// span with the stage children, the class sweeps under simulate → shard,
+// and 404s for unknown or cache-answered
 // jobs.
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -469,13 +470,18 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	if sim := children["simulate"]; sim != nil {
 		found := false
-		for _, c := range sim.Children {
-			if c.Name == "stuck_at" {
-				found = true
+		for _, sh := range sim.Children {
+			if sh.Name != "shard" {
+				continue
+			}
+			for _, c := range sh.Children {
+				if c.Name == "stuck_at" {
+					found = true
+				}
 			}
 		}
 		if !found {
-			t.Errorf("simulate children = %+v, want stuck_at", sim.Children)
+			t.Errorf("simulate children = %+v, want a shard with a stuck_at child", sim.Children)
 		}
 	}
 	if tree.Attrs["engine"] != "packed" {
@@ -536,5 +542,74 @@ func TestManagerRejectionCounters(t *testing.T) {
 	if met.RejectedInvalid.Value() != 1 || met.RejectedQueueFull.Value() != 1 || met.RejectedClosed.Value() != 0 {
 		t.Errorf("rejected = %d invalid / %d queue_full / %d closed, want 1/1/0",
 			met.RejectedInvalid.Value(), met.RejectedQueueFull.Value(), met.RejectedClosed.Value())
+	}
+}
+
+// TestCampaignSpansNest: in the trace of a store-less campaign (one
+// shard) and of a store-backed one (several shards, dictionary on),
+// every span has ended and none ends after its parent, every shard span
+// carries its per-class children, and each class is observed as one
+// stage per campaign.
+func TestCampaignSpansNest(t *testing.T) {
+	faults := FaultConfig{StuckAt: true, Polarity: true, StuckOn: true, Bridges: true, IDDQ: true}
+	for _, tc := range []struct {
+		name   string
+		cfg    ManagerConfig
+		shards int
+	}{
+		{"storeless", ManagerConfig{Workers: 2}, 1},
+		{"store", ManagerConfig{Workers: 2, ResultDir: t.TempDir(), DictDir: t.TempDir()}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewManager(tc.cfg)
+			defer m.Close()
+			j, err := m.Submit(CampaignRequest{Benchmark: "mult4", Faults: faults, ATPG: true, Shards: tc.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitTerminal(t, j); st.State != StateDone {
+				t.Fatalf("campaign finished %s: %s", st.State, st.Error)
+			}
+			tree, ok := m.Tracer().Tree(j.ID)
+			if !ok {
+				t.Fatal("no trace recorded")
+			}
+			end := func(sp *obs.SpanTree) time.Time {
+				t.Helper()
+				at, err := time.Parse(time.RFC3339Nano, sp.End)
+				if err != nil {
+					t.Fatalf("span %s has no valid end %q: %v", sp.Name, sp.End, err)
+				}
+				return at
+			}
+			shards := 0
+			var walk func(parent *obs.SpanTree)
+			walk = func(parent *obs.SpanTree) {
+				pEnd := end(parent)
+				if parent.Name == "shard" {
+					shards++
+					if len(parent.Children) == 0 {
+						t.Errorf("shard span %v has no class children", parent.Attrs)
+					}
+				}
+				for _, c := range parent.Children {
+					if cEnd := end(c); cEnd.After(pEnd) {
+						t.Errorf("span %s ends %v after its parent %s", c.Name, cEnd.Sub(pEnd), parent.Name)
+					}
+					walk(c)
+				}
+			}
+			walk(tree)
+			if shards != tc.shards {
+				t.Errorf("trace has %d shard spans, want %d", shards, tc.shards)
+			}
+			// Each class is one stage observation per campaign, however
+			// many shards ran it.
+			for _, stage := range []string{"stuck_at", "transistor", "transistor_iddq", "bridges"} {
+				if n := m.Metrics().stages[stage].Count(); n != 1 {
+					t.Errorf("stage %s observed %d times, want 1", stage, n)
+				}
+			}
+		})
 	}
 }

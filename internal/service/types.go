@@ -61,11 +61,12 @@ type CampaignRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Shards splits the campaign's fault lists into independently
 	// scheduled, independently cached sub-jobs whose merged results are
-	// bit-identical to the unsharded run: 0 auto-sizes from the circuit
-	// gate count and fault population, 1 forces single-shot. Like
+	// the same for every shard count. 0 means one shard on a manager
+	// without a result store and auto-sizes from the circuit gate count
+	// and fault population on one with a store; K forces K. Like
 	// Workers, sharding cannot affect results, so it is excluded from
-	// the cache key — a sharded and an unsharded submission of the same
-	// campaign share one content address (and one stored report).
+	// the cache key — submissions of one campaign with different shard
+	// counts share one content address (and one stored report).
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -266,9 +267,9 @@ type JobProgress struct {
 	GateEvals  uint64  `json:"gate_evals,omitempty"`
 	Coverage   float64 `json:"coverage_percent"`
 	ETASeconds float64 `json:"eta_seconds,omitempty"`
-	// Sharded campaigns aggregate per-shard progress: Shards is the
-	// plan size, ShardsDone the sub-jobs finished (cache-served shards
-	// count immediately). Zero on unsharded campaigns.
+	// Campaigns aggregate per-shard progress: Shards is the plan size
+	// (one-shard plans report 1), ShardsDone the sub-jobs finished
+	// (cache-served shards count immediately).
 	Shards     int `json:"shards,omitempty"`
 	ShardsDone int `json:"shards_done,omitempty"`
 }

@@ -3,8 +3,9 @@
 // are embarrassingly parallel over the fault list — every fault's
 // detection outcome is independent of every other fault's — so a
 // campaign splits into contiguous fault-range sub-jobs whose merged
-// results are bit-identical to the unsharded run (the service's
-// differential suite pins this against the packed single-shot engine).
+// results are bit-identical to one sweep over the whole universe (the
+// service's differential suite pins this against direct per-class
+// engine sweeps).
 //
 // The three pieces:
 //
@@ -169,7 +170,7 @@ func ClampShards(k int, classSizes ...int) int {
 
 // AutoShards is the default shard count for a campaign that does not
 // pin one: one shard per autoShardWork units of gates x faults, bounded
-// by ClampShards. Small campaigns stay unsharded (the scheduling
+// by ClampShards. Small campaigns stay one shard (the scheduling
 // overhead would exceed the work); the heavy campaigns the ROADMAP
 // targets fan out.
 func AutoShards(gates, faults int) int {
@@ -184,5 +185,5 @@ func AutoShards(gates, faults int) int {
 // autoShardWork is the gates x faults budget one auto-sized shard
 // targets: at ~1k gates x ~4k faults (the mult16 transistor campaign) a
 // campaign splits into a handful of shards, while sub-100-gate circuits
-// stay single-shot.
+// stay one shard.
 const autoShardWork = 1 << 20

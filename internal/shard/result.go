@@ -37,7 +37,7 @@ type ClassResult struct {
 // internal/resultstore under the sub-job key. TransistorV and
 // TransistorIQ are the voltage-only and +IDDQ sweeps over the same
 // transistor range (the campaign runs both when IDDQ observation is
-// on, mirroring the unsharded stage order).
+// on, in the campaign's stage order).
 type Result struct {
 	Key         string `json:"key"`
 	CampaignKey string `json:"campaign_key"`
@@ -134,7 +134,7 @@ func classParts(n int, parts []*ClassResult) ([]*ClassResult, error) {
 }
 
 // MergeDetections reassembles the full detection list of one class from
-// its shard slices, in universe order — bit-identical to the unsharded
+// its shard slices, in universe order — bit-identical to one unsharded
 // sweep because each fault's outcome is independent of its neighbours.
 func MergeDetections(universe []core.Fault, parts []*ClassResult) ([]faultsim.Detection, error) {
 	got, err := classParts(len(universe), parts)
@@ -174,6 +174,59 @@ func MergeBridgeDetections(universe []core.Bridge, parts []*ClassResult) ([]faul
 		}
 	}
 	return out, nil
+}
+
+// Summarise is faultsim.Summarise over MergeDetections for an n-fault
+// universe, computed straight from the shard records without building
+// the merged detection list. Undetected faults are reported in order by
+// universe index through undetected; Coverage.Undetected stays empty.
+func Summarise(n int, parts []*ClassResult, undetected func(i int)) (faultsim.Coverage, error) {
+	got, err := classParts(n, parts)
+	if err != nil {
+		return faultsim.Coverage{}, err
+	}
+	c := faultsim.Coverage{Total: n}
+	for _, p := range got {
+		for k, d := range p.Dets {
+			switch faultsim.DetectMethod(d.Method) {
+			case faultsim.ByOutput:
+				c.ByOutput++
+			case faultsim.ByIDDQ:
+				c.ByIDDQ++
+			case faultsim.ByTwoPattern:
+				c.ByTwoPat++
+			default:
+				undetected(p.Range.Start + k)
+				continue
+			}
+			c.Detected++
+		}
+	}
+	return c, nil
+}
+
+// BridgeCoverage is faultsim.BridgeCoverage over MergeBridgeDetections
+// computed straight from the shard records of an n-bridge universe.
+func BridgeCoverage(n int, parts []*ClassResult) (faultsim.Coverage, error) {
+	got, err := classParts(n, parts)
+	if err != nil {
+		return faultsim.Coverage{}, err
+	}
+	c := faultsim.Coverage{Total: n}
+	for _, p := range got {
+		for _, d := range p.Dets {
+			if !d.Detected {
+				continue
+			}
+			c.Detected++
+			if faultsim.DetectMethod(d.Method) == faultsim.ByIDDQ {
+				c.ByIDDQ++
+			} else {
+				c.ByOutput++
+			}
+		}
+	}
+	return c, nil
 }
 
 // EncodeSigRows serializes a capture's per-fault bitset rows: one
